@@ -1,10 +1,10 @@
 // Experiment E12 — microbenchmarks (google-benchmark) for the numerical
 // kernels and simulators: LU solve, logarithmic reduction, QBD boundary
-// solve, fast simulator throughput, and the cluster-DES hot paths the
-// compact engine rebuilt — legacy vs compact event loop, calendar queue
-// vs binary heap, histogram-directory sampling, and replica-stats
-// merging. CI runs this binary with --benchmark_format=json and uploads
-// the result as the BENCH_6.json artifact; baselines/BENCH_6.json is a
+// solve, fast simulator throughput, and the cluster-DES hot paths —
+// the engine's event loop, calendar queue vs binary heap,
+// histogram-directory sampling, and replica-stats merging. CI runs this
+// binary with --benchmark_format=json and uploads the result as the
+// BENCH_6.json artifact; baselines/BENCH_6.json is a
 // committed reference run (numbers are machine-specific — compare
 // shapes, not absolutes).
 #include <benchmark/benchmark.h>
@@ -96,16 +96,14 @@ void BM_FastSimulatorThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_FastSimulatorThroughput)->Arg(10)->Arg(100);
 
-/// Legacy vs compact cluster DES on the same workload: items/s is jobs
-/// per second, so the legacy engine's O(N) per-idle-arrival cost shows
-/// up as falling throughput with n while the compact engine stays flat.
-void cluster_throughput(benchmark::State& state, rlb::sim::ClusterEngine e) {
+/// The cluster DES end to end on SQ(2): items/s is jobs per second, and
+/// it stays ~flat in n because every per-event operation is O(1).
+void BM_CompactClusterThroughput(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   rlb::sim::ClusterConfig cfg;
   cfg.servers = n;
   cfg.jobs = 100'000;
   cfg.warmup = 1'000;
-  cfg.engine = e;
   rlb::sim::SqdPolicy policy(n, 2);
   const auto arr = rlb::sim::make_exponential(0.9 * n);
   const auto svc = rlb::sim::make_exponential(1.0);
@@ -115,15 +113,6 @@ void cluster_throughput(benchmark::State& state, rlb::sim::ClusterEngine e) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(cfg.jobs));
-}
-
-void BM_ClusterDesThroughput(benchmark::State& state) {
-  cluster_throughput(state, rlb::sim::ClusterEngine::kLegacy);
-}
-BENCHMARK(BM_ClusterDesThroughput)->Arg(10)->Arg(100)->Arg(1000);
-
-void BM_CompactClusterThroughput(benchmark::State& state) {
-  cluster_throughput(state, rlb::sim::ClusterEngine::kCompact);
 }
 BENCHMARK(BM_CompactClusterThroughput)
     ->Arg(10)

@@ -9,8 +9,8 @@ namespace rlb::sim {
 
 namespace {
 
-/// The pop order: strictly increasing (time, id), matching the legacy
-/// engine's std::greater<> heap over std::pair<double, int>.
+/// The pop order: strictly increasing (time, id), matching a
+/// std::greater<> heap over std::pair<double, int>.
 bool event_less(double at, std::int32_t aid, double bt, std::int32_t bid) {
   if (at != bt) return at < bt;
   return aid < bid;

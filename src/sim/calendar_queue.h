@@ -1,5 +1,5 @@
 // Calendar (bucketed) event queue: O(1) amortized schedule/pop versus the
-// O(log n) binary heap the legacy cluster engine uses. Events are
+// O(log n) of a binary heap. Events are
 // (time, id) pairs hashed into time buckets of adaptive width; pop scans
 // the current "year" of buckets in time order, so with the width resized
 // to keep a handful of events per bucket both operations touch O(1)
@@ -17,9 +17,10 @@
 //
 // Determinism contract: pop order is the strict total order by
 // (time, id) — exactly the ordering std::priority_queue<std::pair<double,
-// int>, ..., std::greater<>> gives the legacy engine — and resizing is
-// driven purely by element counts, never by timing. The compact cluster
-// engine relies on this to stay bit-identical with the legacy DES.
+// int>, ..., std::greater<>> gives — and resizing is driven purely by
+// element counts, never by timing. The cluster engine relies on this to
+// stay bit-identical with the heap-based reference engine the tests keep
+// (tests/legacy_cluster_oracle.h).
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,8 @@
 // Event-driven simulation of a dispatch cluster: one arrival stream, a
 // dispatch policy, N FIFO servers with i.i.d. service times. Tracks every
 // job individually, so it supports arbitrary interarrival and service
-// distributions (unlike the fast jump-chain simulator).
+// distributions (unlike the fast jump-chain simulator). Every policy runs
+// on the one engine in sim/compact_cluster.h.
 #pragma once
 
 #include <cstddef>
@@ -18,18 +19,15 @@
 
 namespace rlb::sim {
 
-/// Which event-loop engine executes each replica.
-///
-/// Both engines are bit-identical for symmetric policies (same seeds ->
-/// same numbers, pinned by tests/test_compact_cluster.cpp); they differ
-/// only in cost. Legacy keeps per-server job deques and pays O(N) for an
-/// arrival to an idle server; compact keeps the queue-length histogram
-/// (sim/compact_cluster.h) and pays O(1) per event, which is what makes
-/// N = 10^6 fleets simulable (the fleet_scaling scenario).
+/// Retired engine selector. There is one cluster engine
+/// (sim/compact_cluster.h) and every value runs it, with bit-identical
+/// results (tests/test_compact_cluster.cpp pins this). The enum stays
+/// declared only because the benchmark harness under perfbench/ still
+/// names it; nothing else should set it.
 enum class ClusterEngine {
-  kAuto,     ///< compact when policy.symmetric(), legacy otherwise
-  kLegacy,   ///< per-server state; required by identity-aware policies
-  kCompact,  ///< histogram state; rejects non-symmetric policies
+  kAuto,
+  kLegacy,
+  kCompact,
 };
 
 struct ClusterConfig {
@@ -42,7 +40,7 @@ struct ClusterConfig {
 
   /// Independent replicas the job budget is sharded into (sim/replica.h).
   /// Each replica clones the policy and arrival process and is seeded
-  /// replica_seed(seed, r); replicas == 1 reproduces the legacy serial
+  /// replica_seed(seed, r); replicas == 1 reproduces the unsharded serial
   /// run bit-for-bit.
   int replicas = 1;
 
@@ -53,13 +51,12 @@ struct ClusterConfig {
   /// for the example studies.
   std::vector<double> server_speeds;
 
-  /// Engine selection; kAuto picks per policy and is right for almost
-  /// every caller. kCompact with a non-symmetric policy is rejected.
+  /// Inert: every ClusterEngine value runs the one engine (see above).
   ClusterEngine engine = ClusterEngine::kAuto;
 
   /// Rack topology (sim/topology.h, docs/TOPOLOGY.md). The default —
   /// one rack, no penalty — is the paper's symmetric model and runs
-  /// bit-identically to the pre-topology engines. When the topology is
+  /// bit-identically to a topology-blind run. When the topology is
   /// OBSERVABLE (racks > 1 with a cross-rack penalty or a locality-aware
   /// policy) each arrival draws a uniform home rack right after its
   /// service-time sample, the policy's rack-aware select runs, and

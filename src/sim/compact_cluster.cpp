@@ -25,8 +25,6 @@ CompactClusterEngine::CompactClusterEngine(
       per_rack_(cfg.topology.servers_per_rack(cfg.servers)),
       dir_(cfg.servers),
       slot_(cfg.servers) {
-  RLB_REQUIRE(policy.symmetric(),
-              "compact engine requires a symmetric policy");
   // Per-rack idle FIFOs only when a locality-aware policy will consult
   // them; blind runs (even penalized ones) skip the maintenance cost.
   if (cfg.topology.racks > 1 && policy.locality_aware())
@@ -56,8 +54,10 @@ void CompactClusterEngine::push_job(int server, const Job& job) {
     q.head = job;
     q.next = -1;
     q.tail = -1;
+    q.completion = now_ + job.service_time;
     return;
   }
+  q.queued_work += job.service_time;
   const std::int32_t slot = acquire_slot();
   pool_[slot].job = job;
   pool_[slot].next = -1;
@@ -80,17 +80,41 @@ CompactClusterEngine::Job CompactClusterEngine::pop_job(int server) {
     q.head = rec.job;
     q.next = rec.next;
     if (rec.next < 0) q.tail = -1;
+    q.queued_work -= rec.job.service_time;
+    q.completion = now_ + rec.job.service_time;
     release_slot(promoted);
   }
   return done;
 }
 
+double CompactClusterEngine::remaining_work(int server) const {
+  if (dir_.level_of(server) == 0) return 0.0;
+  const ServerSlot& q = slot_[server];
+  return (q.completion - now_) + q.queued_work;
+}
+
+int CompactClusterEngine::idle_server(int i) const {
+  RLB_REQUIRE(i >= 0 && i < dir_.idle_count(),
+              "idle_server index out of range");
+  int s = dir_.idle_head();
+  for (; i > 0; --i) s = dir_.idle_next(s);
+  return s;
+}
+
+int CompactClusterEngine::rack_idle_head(int begin, int end) const {
+  // One walk of the global I-queue: its first member inside the slice is
+  // the slice's longest-idle server, whether or not racks are armed. (The
+  // base class calls idle_server(i) per step, O(idle^2) on this FIFO.)
+  for (int s = dir_.idle_head(); s >= 0; s = dir_.idle_next(s))
+    if (s >= begin && s < end) return s;
+  return -1;
+}
+
 ClusterAccum CompactClusterEngine::run() {
-  // Statement-for-statement mirror of the legacy Engine::run — the RNG
-  // draw order, event ordering, and statistics accumulation order below
-  // must not drift from cluster_sim.cpp, or the engines stop being
-  // bit-identical and the equivalence tests fail. The prefetch calls are
-  // layout hints only: they stage the cache lines the NEXT event will
+  // The RNG draw order, event ordering and statistics accumulation order
+  // below are the contract the oracle tests pin against the per-server
+  // reference engine (tests/legacy_cluster_oracle.h). The prefetch calls
+  // are layout hints only: they stage the cache lines the NEXT event will
   // touch while the current one finishes, and never change any decision.
   ClusterAccum acc;
   acc.sojourn_ci = BatchMeans(batch_);
@@ -102,6 +126,7 @@ ClusterAccum CompactClusterEngine::run() {
                        seed_ ^ cfg_.window_seed_salt);
 
   const bool idle_head_hint = policy_.dispatches_to_idle_head();
+  const bool symmetric = policy_.symmetric();
   double next_arrival = arrivals_.next(rng_);
   std::uint64_t arrivals = 0;
   std::uint64_t departures = 0;
@@ -131,8 +156,10 @@ ClusterAccum CompactClusterEngine::run() {
       job.index = arrivals;
       job.arrival_time = now_;
       job.service_time = service_.sample(rng_);
-      // Home-rack draw: mirrors the legacy engine's position exactly —
-      // right after the service sample, before the policy's draws.
+      // Home-rack draw: right after the service sample, before the
+      // policy's draws. Skipped entirely when the topology is
+      // unobservable, so those runs stay bit-identical to a
+      // topology-blind run.
       int home = 0;
       if (rack_mode_)
         home = static_cast<int>(rng_.uniform_int(
@@ -142,8 +169,13 @@ ClusterAccum CompactClusterEngine::run() {
       // If the chosen server turns out idle, the departure lands in this
       // bucket; start loading it before the policy's polling misses.
       calendar_.prefetch_slot(now_ + job.service_time);
-      const int s = rack_mode_ ? policy_.select_direct(dir_, home, rng_)
-                               : policy_.select_direct(dir_, rng_);
+      int s;
+      if (symmetric)
+        s = rack_mode_ ? policy_.select_direct(dir_, home, rng_)
+                       : policy_.select_direct(dir_, rng_);
+      else
+        s = rack_mode_ ? policy_.select(*this, home, rng_)
+                       : policy_.select(*this, rng_);
       RLB_ASSERT(s >= 0 && s < cfg_.servers, "policy picked a bad server");
       util::prefetch(&slot_[s]);
       if (!cfg_.server_speeds.empty())
@@ -165,8 +197,7 @@ ClusterAccum CompactClusterEngine::run() {
       --in_system;
       acc.record_departure(now_, done.arrival_time, done.service_time,
                            done.index >= warmup_);
-      if (dir_.level_of(s) > 0)
-        calendar_.push(now_ + slot_[s].head.service_time, s);
+      if (dir_.level_of(s) > 0) calendar_.push(slot_[s].completion, s);
     }
 
     // Stage the next event's state: the calendar's top names the next

@@ -1,23 +1,24 @@
-// Compressed-state cluster engine for symmetric dispatch policies.
+// The cluster engine: one replica's event loop for every dispatch policy.
 //
-// The legacy engine (cluster_sim.cpp) tracks every server's job deque and
-// pays O(N) per arrival that lands on an idle server (ordered I-queue
-// erase) plus O(log N) per heap operation. This engine stores the
-// queue-length HISTOGRAM — a by-level directory of exchangeable server
-// handles (sim/level_directory.h) — so every state update a dispatch
-// decision needs is O(1), the event calendar is O(1) amortized, and the
-// per-job cost stays flat as the fleet grows to N = 10^6 (the
-// fleet_scaling scenario measures this).
+// The state is the queue-length HISTOGRAM — a by-level directory of
+// exchangeable server handles (sim/level_directory.h) — plus one
+// cache-line slot per server, so every state update a dispatch decision
+// needs is O(1), the event calendar is O(1) amortized, and the per-job
+// cost stays flat as the fleet grows to N = 10^6 (the fleet_scaling
+// scenario measures this).
 //
-// The compression is semantic, not just spatial: policies see the cluster
-// only through queue-length information — counts per level, the idle FIFO
-// head, levels of sampled handles — and nothing per-server beyond that.
-// The hot path hands policies the concrete LevelDirectory
-// (Policy::select_direct), so the per-event dispatch pays one virtual
-// call instead of one per directory query. For the paper's policies the
-// engine replays the legacy event loop draw-for-draw, so a replica here
-// is BIT-IDENTICAL to the legacy engine under the same seed
-// (tests/test_compact_cluster.cpp pins this).
+// Symmetric policies see the cluster only through queue-length
+// information — counts per level, the idle FIFO head, levels of sampled
+// handles — and get the concrete LevelDirectory (Policy::select_direct),
+// so the per-event dispatch pays one virtual call instead of one per
+// directory query. Identity-aware policies (round-robin, least-work-left)
+// get the engine itself as a ClusterState: per-server queue lengths,
+// remaining work and the idle FIFO in became-idle order.
+//
+// tests/legacy_cluster_oracle.h keeps the original per-server engine as
+// a test oracle; the engine reproduces it bit for bit under the same
+// seed, for every policy, topology, speed vector and replica count
+// (tests/test_compact_cluster.cpp).
 #pragma once
 
 #include <cstdint>
@@ -34,11 +35,11 @@
 
 namespace rlb::sim {
 
-/// One replica's event loop over compressed state. Mirrors the legacy
-/// engine statement for statement — same RNG draw order (service sample,
-/// then policy draws, then next interarrival), same (time, server) event
-/// ordering, same statistics accumulation order — which is what makes the
-/// two engines bit-identical for symmetric policies.
+/// One replica's event loop. The RNG draw order is fixed — service
+/// sample, then the home-rack draw (racked runs only), then the policy's
+/// draws, then the next interarrival — as are the (time, server) event
+/// ordering and the statistics accumulation order; the oracle tests pin
+/// all three.
 ///
 /// Job storage is laid out for locality, not pooled uniformly: the job a
 /// server is CURRENTLY serving lives inline in that server's own
@@ -50,7 +51,7 @@ namespace rlb::sim {
 /// (the calendar's top event names the next departure's server; JIQ names
 /// the next arrival's), so the random-access misses overlap event
 /// processing instead of serializing in front of it.
-class CompactClusterEngine {
+class CompactClusterEngine final : public ClusterState {
  public:
   CompactClusterEngine(const ClusterConfig& cfg, std::uint64_t jobs,
                        std::uint64_t warmup, std::uint64_t batch,
@@ -61,6 +62,18 @@ class CompactClusterEngine {
   [[nodiscard]] const LevelDirectory& directory() const { return dir_; }
 
   ClusterAccum run();
+
+  // ClusterState: the per-server view identity-aware policies select on.
+  [[nodiscard]] int servers() const override { return cfg_.servers; }
+  [[nodiscard]] int queue_length(int server) const override {
+    return dir_.level_of(server);
+  }
+  [[nodiscard]] double remaining_work(int server) const override;
+  [[nodiscard]] int idle_servers() const override {
+    return dir_.idle_count();
+  }
+  [[nodiscard]] int idle_server(int i) const override;
+  [[nodiscard]] int rack_idle_head(int begin, int end) const override;
 
  private:
   /// In-flight job payload.
@@ -78,12 +91,18 @@ class CompactClusterEngine {
   };
 
   /// One cache line per server: the head (in-service) job inline — valid
-  /// iff the server is busy, i.e. its directory level is > 0 — plus the
-  /// FIFO links into the pool for any jobs queued behind it.
+  /// iff the server is busy, i.e. its directory level is > 0 — the FIFO
+  /// links into the pool for any jobs queued behind it, and the two
+  /// scalars remaining_work reads.
   struct alignas(64) ServerSlot {
     Job head;
     std::int32_t next = -1;  ///< pool slot of the 2nd job, -1 if none
     std::int32_t tail = -1;  ///< pool slot of the last queued job
+    /// The head job's departure time.
+    double completion = 0.0;
+    /// Service time queued behind the head. Never reset between busy
+    /// periods (rounding residue carries over), matching the oracle.
+    double queued_work = 0.0;
   };
   static_assert(sizeof(ServerSlot) == 64, "one cache line per server");
 

@@ -1,7 +1,7 @@
 // The queue-length histogram with O(1) updates and O(1) uniform sampling
-// within a level — the state behind the compact cluster engine
+// within a level — the state behind the cluster engine
 // (sim/compact_cluster.h) and the concrete type the symmetric policies'
-// fast dispatch path (Policy::select_direct) compiles against.
+// dispatch path (Policy::select_direct) compiles against.
 //
 // Memory layout: the per-server hot fields — queue length, position in
 // the by-level permutation, and the intrusive idle-FIFO links — live in
@@ -14,15 +14,13 @@
 // (block starts, block sizes) stay separate: they are indexed by queue
 // length, tiny under any stable load, and effectively cache-resident.
 //
-// The class is `final` and implements QueueHistogramView, so calls
-// through a concrete `const LevelDirectory&` devirtualize and inline;
-// only the generic QueueHistogramView path pays virtual dispatch.
+// Nothing here is virtual: policies receive the concrete directory, so
+// every query inlines into the dispatch code.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "sim/policy.h"
 #include "sim/rng.h"
 #include "util/prefetch.h"
 #include "util/require.h"
@@ -33,28 +31,51 @@ namespace rlb::sim {
 /// blocks, one block per queue length; moving a server between adjacent
 /// levels is a swap-to-boundary plus two counter updates. Level-0 servers
 /// are additionally threaded onto an intrusive doubly-linked FIFO in
-/// became-idle order (server-index order at time zero), reproducing the
-/// legacy dispatcher's I-queue contract for JIQ — but with O(1) removal
-/// where the legacy vector pays an O(N) ordered erase.
-class LevelDirectory final : public QueueHistogramView {
+/// became-idle order (server-index order at time zero): the dispatcher's
+/// I-queue for JIQ, with O(1) removal from anywhere in the queue.
+///
+/// Server indices appear in the interface only as exchangeable handles:
+/// a symmetric policy sees queue lengths, the idle order and uniform
+/// draws within a level, never anything else about a server.
+class LevelDirectory final {
  public:
   explicit LevelDirectory(int servers);
 
-  [[nodiscard]] int servers() const override { return n_; }
-  [[nodiscard]] int max_level() const override { return max_level_; }
-  [[nodiscard]] int count_at(int level) const override {
+  [[nodiscard]] int servers() const { return n_; }
+
+  /// Largest queue length currently held by any server (0 when all idle).
+  [[nodiscard]] int max_level() const { return max_level_; }
+
+  /// Number of servers with queue length EXACTLY `level`; 0 for levels
+  /// above max_level().
+  [[nodiscard]] int count_at(int level) const {
     RLB_REQUIRE(level >= 0, "queue-length level must be non-negative");
     return level < static_cast<int>(count_.size()) ? count_[level] : 0;
   }
-  [[nodiscard]] int idle_count() const override { return count_[0]; }
-  [[nodiscard]] int idle_head() const override { return idle_head_; }
-  [[nodiscard]] int level_of(int server) const override {
-    return rec_[server].level;
+
+  /// Number of idle servers, == count_at(0).
+  [[nodiscard]] int idle_count() const { return count_[0]; }
+
+  /// The idle server that has been idle the longest, -1 when none.
+  /// Ordering contract: servers join the I-queue's tail the moment their
+  /// queue empties and leave it when a job is dispatched to them; at
+  /// time zero the queue holds every server in server-index order.
+  [[nodiscard]] int idle_head() const { return idle_head_; }
+
+  /// The idle server queued right behind idle `server` in the I-queue,
+  /// -1 at the tail. Together with idle_head() this walks the whole
+  /// idle FIFO in became-idle order.
+  [[nodiscard]] int idle_next(int server) const {
+    return rec_[server].idle_next;
   }
 
+  /// Queue length of one server handle.
+  [[nodiscard]] int level_of(int server) const { return rec_[server].level; }
+
   /// Uniform among the count_at(level) servers at `level` (must be
-  /// non-empty); exactly one uniform_int draw.
-  [[nodiscard]] int sample_at_level(int level, Rng& rng) const override {
+  /// non-empty); exactly one uniform_int draw. This is the histogram's
+  /// replacement for "scan all N servers and tie-break among the minima".
+  [[nodiscard]] int sample_at_level(int level, Rng& rng) const {
     const int c = count_at(level);
     RLB_REQUIRE(c > 0, "sample_at_level on an empty level");
     return by_level_[offset_[level] +
@@ -62,15 +83,19 @@ class LevelDirectory final : public QueueHistogramView {
                          rng.uniform_int(static_cast<std::uint64_t>(c)))];
   }
 
-  /// O(1) per-rack idle head once arm_racks has run: the slice
-  /// [begin, end) must then be exactly one rack. Unarmed directories fall
-  /// back to the base class's index-order scan. The per-rack FIFOs are
-  /// maintained by the same idle_remove/idle_append calls as the global
-  /// one, so their order is the global I-queue order restricted to the
-  /// rack — first-idle-first-out, server-index order at time zero,
-  /// matching the legacy engine's I-queue slice bit-for-bit.
-  [[nodiscard]] int rack_idle_head(int begin, int end) const override {
-    if (racks_ == 0) return QueueHistogramView::rack_idle_head(begin, end);
+  /// The longest-idle server with index in [begin, end), -1 when that
+  /// slice holds no idle server. O(1) once arm_racks has run: the slice
+  /// must then be exactly one rack. The per-rack FIFOs are maintained by
+  /// the same idle_remove/idle_append calls as the global one, so their
+  /// order is the global I-queue order restricted to the rack —
+  /// first-idle-first-out, server-index order at time zero. Unarmed
+  /// directories scan the slice in index order instead.
+  [[nodiscard]] int rack_idle_head(int begin, int end) const {
+    if (racks_ == 0) {
+      for (int s = begin; s < end; ++s)
+        if (level_of(s) == 0) return s;
+      return -1;
+    }
     RLB_REQUIRE(begin % per_rack_ == 0 && end - begin == per_rack_,
                 "rack_idle_head slice must be one armed rack");
     return rack_head_[begin / per_rack_];

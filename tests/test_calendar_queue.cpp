@@ -14,7 +14,8 @@ namespace {
 using rlb::sim::CalendarQueue;
 using Event = std::pair<double, std::int32_t>;
 
-/// Reference ordering: the exact heap the legacy cluster engine uses.
+/// Reference ordering: the exact heap the cluster test oracle uses
+/// (legacy_cluster_oracle.h).
 using RefHeap =
     std::priority_queue<Event, std::vector<Event>, std::greater<>>;
 
@@ -96,7 +97,7 @@ TEST(CalendarQueue, RejectsBadInputs) {
 
 TEST(CalendarQueue, MatchesReferenceHeapUnderRandomWorkload) {
   // Interleaved pushes and pops with clustered, tied, and far-flung
-  // times; every pop must match the legacy heap's order exactly.
+  // times; every pop must match the reference heap's order exactly.
   rlb::sim::Rng rng(2026);
   CalendarQueue cq;
   RefHeap ref;

@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "legacy_cluster_oracle.h"
 #include "sim/cluster_sim.h"
+#include "sim/replica.h"
 #include "sqd/exact_reference.h"
 #include "util/thread_budget.h"
 
@@ -120,7 +123,7 @@ TEST(LevelDirectory, RandomizedStressMatchesReferenceModel) {
   // check, against a naive reference (a level array plus an idle deque),
   // every observable the public API exposes — per-server levels, counts,
   // block partition, max level, and the FULL idle-FIFO order, head to
-  // tail, via increment/decrement round trips on a probe copy.
+  // tail, both through the idle_next links and by draining the FIFO.
   const int n = 64;
   LevelDirectory dir(n);
   std::vector<int> ref_level(n, 0);
@@ -147,6 +150,10 @@ TEST(LevelDirectory, RandomizedStressMatchesReferenceModel) {
     ASSERT_EQ(dir.max_level(), ref_max);
 
     if (step % 500 != 0) continue;  // the full O(n) audit, periodically
+    std::vector<int> fifo;
+    for (int v = dir.idle_head(); v >= 0; v = dir.idle_next(v))
+      fifo.push_back(v);
+    ASSERT_EQ(fifo, std::vector<int>(ref_idle.begin(), ref_idle.end()));
     std::vector<int> ref_count(ref_max + 1, 0);
     for (int v = 0; v < n; ++v) {
       ASSERT_EQ(dir.level_of(v), ref_level[v]);
@@ -248,36 +255,170 @@ TEST(LevelDirectory, RandomizedRackFifosMatchReferenceModel) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine equivalence: compact must be bit-identical to legacy.
+// Engine vs oracle: the engine must reproduce the per-server reference
+// engine (legacy_cluster_oracle.h) bit for bit, replica by replica.
 
-ClusterResult run_with_engine(ClusterEngine engine, Policy& policy, int n,
-                              int replicas = 1, int threads = 1,
-                              std::uint64_t jobs = 60'000) {
+using rlb::sim::oracle::LegacyClusterOracle;
+
+void expect_same(const MomentsState& a, const MomentsState& b,
+                 const std::string& label) {
+  EXPECT_EQ(a.count, b.count) << label;
+  EXPECT_EQ(a.mean, b.mean) << label;
+  EXPECT_EQ(a.m2, b.m2) << label;
+  EXPECT_EQ(a.min, b.min) << label;
+  EXPECT_EQ(a.max, b.max) << label;
+}
+
+/// Every statistic of two replica accumulators, exactly (EXPECT_EQ on
+/// doubles is bitwise equality up to the sign of zero).
+void expect_same_accum(const ClusterAccum& a, const ClusterAccum& b,
+                       const std::string& label) {
+  expect_same(a.sojourn_stats.state(), b.sojourn_stats.state(),
+              label + " sojourn");
+  expect_same(a.wait_stats.state(), b.wait_stats.state(), label + " wait");
+  const BatchMeansState ca = a.sojourn_ci.state();
+  const BatchMeansState cb = b.sojourn_ci.state();
+  EXPECT_EQ(ca.batch_size, cb.batch_size) << label;
+  EXPECT_EQ(ca.in_batch, cb.in_batch) << label;
+  EXPECT_EQ(ca.batch_sum, cb.batch_sum) << label;
+  expect_same(ca.batch_means, cb.batch_means, label + " batch means");
+  const ReservoirState qa = a.sojourn_quantiles.state();
+  const ReservoirState qb = b.sojourn_quantiles.state();
+  EXPECT_EQ(qa.seen, qb.seen) << label;
+  EXPECT_EQ(qa.rng_state, qb.rng_state) << label;
+  EXPECT_EQ(qa.sample, qb.sample) << label;
+  EXPECT_EQ(a.area_jobs, b.area_jobs) << label;
+  EXPECT_EQ(a.busy_area, b.busy_area) << label;
+  EXPECT_EQ(a.window, b.window) << label;
+  EXPECT_EQ(a.sim_time, b.sim_time) << label;
+  EXPECT_EQ(a.sla_violations, b.sla_violations) << label;
+  ASSERT_EQ(a.windowed_sojourn.has_value(), b.windowed_sojourn.has_value())
+      << label;
+  if (!a.windowed_sojourn) return;
+  ASSERT_EQ(a.windowed_sojourn->windows(), b.windowed_sojourn->windows())
+      << label;
+  for (std::size_t w = 0; w < a.windowed_sojourn->windows(); ++w) {
+    expect_same(a.windowed_sojourn->window(w).state(),
+                b.windowed_sojourn->window(w).state(),
+                label + " window " + std::to_string(w));
+    if (a.windowed_p99->count(w) > 0) {
+      EXPECT_EQ(a.windowed_p99->quantile(w, 0.99),
+                b.windowed_p99->quantile(w, 0.99))
+          << label << " window " << w;
+    }
+  }
+}
+
+/// One replica through the engine and through the oracle, each on fresh
+/// reset clones (as simulate_cluster runs a replica); checks the two
+/// accumulators match and returns the oracle's.
+ClusterAccum run_replica_pair(const ClusterConfig& cfg, const Policy& policy,
+                              const ArrivalProcess& arrivals,
+                              const Distribution& service,
+                              std::uint64_t jobs, std::uint64_t warmup,
+                              std::uint64_t batch, std::uint64_t seed,
+                              const std::string& label) {
+  const auto engine_policy = policy.clone();
+  const auto engine_arrivals = arrivals.clone();
+  engine_policy->reset();
+  engine_arrivals->reset();
+  CompactClusterEngine engine(cfg, jobs, warmup, batch, seed, *engine_policy,
+                              *engine_arrivals, service);
+  const ClusterAccum got = engine.run();
+
+  const auto oracle_policy = policy.clone();
+  const auto oracle_arrivals = arrivals.clone();
+  oracle_policy->reset();
+  oracle_arrivals->reset();
+  LegacyClusterOracle oracle(cfg, jobs, warmup, batch, seed, *oracle_policy,
+                             *oracle_arrivals, service);
+  ClusterAccum want = oracle.run();
+  expect_same_accum(got, want, label);
+  return want;
+}
+
+/// The public result must be what the merged oracle replicas describe.
+void expect_result_from(const ClusterResult& r, const ClusterAccum& acc,
+                        int servers, const std::string& label) {
+  EXPECT_EQ(r.mean_sojourn, acc.sojourn_stats.mean()) << label;
+  EXPECT_EQ(r.mean_wait, acc.wait_stats.mean()) << label;
+  EXPECT_EQ(r.ci95_sojourn, acc.sojourn_ci.half_width(0.95)) << label;
+  EXPECT_EQ(r.p99_sojourn, acc.sojourn_quantiles.quantile(0.99)) << label;
+  EXPECT_EQ(r.jobs_measured, acc.sojourn_stats.count()) << label;
+  EXPECT_EQ(r.mean_jobs_in_system, acc.area_jobs / acc.window) << label;
+  EXPECT_EQ(r.utilization, acc.busy_area / acc.window / servers) << label;
+  EXPECT_EQ(r.sim_time, acc.sim_time) << label;
+}
+
+/// Every replica of `cfg` through engine and oracle, with the replica
+/// seeds, job counts and batch size simulate_cluster derives; then
+/// simulate_cluster itself (on `threads` workers) must report the merged
+/// oracle statistics.
+void expect_matches_oracle(const ClusterConfig& cfg, Policy& policy,
+                           const Distribution& interarrival,
+                           const Distribution& service,
+                           const std::string& label, int threads = 1) {
+  RenewalArrivals arrivals(interarrival);
+  const ReplicaPlan plan =
+      ReplicaPlan::split(cfg.replicas, cfg.jobs, cfg.warmup, cfg.seed);
+  const std::uint64_t batch = plan.batch_size(cfg.batch_size);
+  std::optional<ClusterAccum> merged;
+  for (int r = 0; r < plan.replicas; ++r) {
+    ClusterAccum acc = run_replica_pair(
+        cfg, policy, arrivals, service, plan.jobs_per_replica, plan.warmup,
+        batch, replica_seed(plan.base_seed, r),
+        label + " replica " + std::to_string(r));
+    if (merged)
+      merged->merge(acc);
+    else
+      merged = std::move(acc);
+  }
+  rlb::util::ThreadBudget budget(threads);
+  const ClusterResult result =
+      simulate_cluster(cfg, policy, interarrival, service, budget);
+  expect_result_from(result, *merged, cfg.servers, label);
+}
+
+ClusterConfig base_config(int n, std::uint64_t jobs = 60'000,
+                          int replicas = 1) {
   ClusterConfig cfg;
   cfg.servers = n;
   cfg.jobs = jobs;
   cfg.warmup = jobs / 10;
   cfg.seed = 4242;
   cfg.replicas = replicas;
-  cfg.engine = engine;
-  const auto arr = make_exponential(0.9 * n);
+  return cfg;
+}
+
+/// simulate_cluster on a Poisson(rho * n) / Exp(1) workload.
+ClusterResult run_cluster(const ClusterConfig& cfg, Policy& policy,
+                          double rho = 0.9, int threads = 1) {
+  const auto arr = make_exponential(rho * cfg.servers);
   const auto svc = make_exponential(1.0);
   rlb::util::ThreadBudget budget(threads);
   return simulate_cluster(cfg, policy, *arr, *svc, budget);
 }
 
+void expect_oracle_on_poisson(const ClusterConfig& cfg, Policy& policy,
+                              double rho, const std::string& label,
+                              int threads = 1) {
+  const auto arr = make_exponential(rho * cfg.servers);
+  const auto svc = make_exponential(1.0);
+  expect_matches_oracle(cfg, policy, *arr, *svc, label, threads);
+}
+
 void expect_identical(const ClusterResult& a, const ClusterResult& b,
                       const std::string& label) {
-  EXPECT_DOUBLE_EQ(a.mean_sojourn, b.mean_sojourn) << label;
-  EXPECT_DOUBLE_EQ(a.mean_wait, b.mean_wait) << label;
-  EXPECT_DOUBLE_EQ(a.ci95_sojourn, b.ci95_sojourn) << label;
-  EXPECT_DOUBLE_EQ(a.mean_jobs_in_system, b.mean_jobs_in_system) << label;
-  EXPECT_DOUBLE_EQ(a.utilization, b.utilization) << label;
-  EXPECT_DOUBLE_EQ(a.p50_sojourn, b.p50_sojourn) << label;
-  EXPECT_DOUBLE_EQ(a.p95_sojourn, b.p95_sojourn) << label;
-  EXPECT_DOUBLE_EQ(a.p99_sojourn, b.p99_sojourn) << label;
+  EXPECT_EQ(a.mean_sojourn, b.mean_sojourn) << label;
+  EXPECT_EQ(a.mean_wait, b.mean_wait) << label;
+  EXPECT_EQ(a.ci95_sojourn, b.ci95_sojourn) << label;
+  EXPECT_EQ(a.mean_jobs_in_system, b.mean_jobs_in_system) << label;
+  EXPECT_EQ(a.utilization, b.utilization) << label;
+  EXPECT_EQ(a.p50_sojourn, b.p50_sojourn) << label;
+  EXPECT_EQ(a.p95_sojourn, b.p95_sojourn) << label;
+  EXPECT_EQ(a.p99_sojourn, b.p99_sojourn) << label;
   EXPECT_EQ(a.jobs_measured, b.jobs_measured) << label;
-  EXPECT_DOUBLE_EQ(a.sim_time, b.sim_time) << label;
+  EXPECT_EQ(a.sim_time, b.sim_time) << label;
 }
 
 std::vector<std::unique_ptr<Policy>> symmetric_policies(int n) {
@@ -292,62 +433,202 @@ std::vector<std::unique_ptr<Policy>> symmetric_policies(int n) {
   return out;
 }
 
+/// The symmetric policies plus the identity-aware ones, which run on the
+/// engine's ClusterState view.
+std::vector<std::unique_ptr<Policy>> all_policies(int n) {
+  auto out = symmetric_policies(n);
+  out.push_back(std::make_unique<RoundRobinPolicy>());
+  out.push_back(std::make_unique<LeastWorkLeftPolicy>());
+  return out;
+}
+
+/// Hides a policy's directory dispatch: symmetric() is false, so the
+/// engine hands it the ClusterState view, the path any custom
+/// identity-aware policy takes. Lets the oracle pin that view for every
+/// built-in policy, jsq-h included (whose select_direct draws a
+/// different sample path by design).
+class ClusterStateOnly final : public Policy {
+ public:
+  explicit ClusterStateOnly(std::unique_ptr<Policy> inner)
+      : inner_(std::move(inner)) {}
+  int select(const ClusterState& cluster, Rng& rng) override {
+    return inner_->select(cluster, rng);
+  }
+  int select(const ClusterState& cluster, int home_rack, Rng& rng) override {
+    return inner_->select(cluster, home_rack, rng);
+  }
+  [[nodiscard]] std::string name() const override {
+    return inner_->name() + " via ClusterState";
+  }
+  void reset() override { inner_->reset(); }
+  [[nodiscard]] std::unique_ptr<Policy> clone() const override {
+    return std::make_unique<ClusterStateOnly>(inner_->clone());
+  }
+  [[nodiscard]] bool locality_aware() const override {
+    return inner_->locality_aware();
+  }
+  [[nodiscard]] int required_racks() const override {
+    return inner_->required_racks();
+  }
+
+ private:
+  std::unique_ptr<Policy> inner_;
+};
+
 TEST(CompactCluster, BitIdenticalToLegacyForSymmetricPolicies) {
   const int n = 8;
-  for (const auto& policy : symmetric_policies(n)) {
-    const auto legacy = run_with_engine(ClusterEngine::kLegacy, *policy, n);
-    const auto compact = run_with_engine(ClusterEngine::kCompact, *policy, n);
-    expect_identical(legacy, compact, policy->name());
-  }
+  for (const auto& policy : all_policies(n))
+    expect_oracle_on_poisson(base_config(n), *policy, 0.9, policy->name());
 }
 
 TEST(CompactCluster, BitIdenticalToLegacyAtLargerFleet) {
-  // Re-pin the equivalence at a fleet large enough that the packed
+  // Re-pin the equivalence at fleets large enough that the packed
   // directory's blocks span many cache lines and the calendar resizes
   // through several doublings — sizes where a layout bug that preserves
-  // small-n behavior would surface.
-  const int n = 96;
-  for (const auto& policy : symmetric_policies(n)) {
-    const auto legacy =
-        run_with_engine(ClusterEngine::kLegacy, *policy, n, 1, 1, 120'000);
-    const auto compact =
-        run_with_engine(ClusterEngine::kCompact, *policy, n, 1, 1, 120'000);
-    expect_identical(legacy, compact, policy->name() + " n=96");
-  }
+  // small-n behavior would surface. n = 256 is the size fleet_scaling's
+  // engine cross-check table used to run.
+  for (const int n : {96, 256})
+    for (const auto& policy : all_policies(n))
+      expect_oracle_on_poisson(base_config(n, 120'000), *policy, 0.9,
+                               policy->name() + " n=" + std::to_string(n));
 }
 
 TEST(CompactCluster, BitIdenticalAcrossReplicasAndThreads) {
   const int n = 6;
-  for (const auto& policy : symmetric_policies(n)) {
-    const auto legacy =
-        run_with_engine(ClusterEngine::kLegacy, *policy, n, 3, 1);
-    const auto compact =
-        run_with_engine(ClusterEngine::kCompact, *policy, n, 3, 4);
-    expect_identical(legacy, compact, policy->name() + " r=3");
-  }
+  for (const auto& policy : all_policies(n))
+    expect_oracle_on_poisson(base_config(n, 60'000, 3), *policy, 0.9,
+                             policy->name() + " r=3", 4);
 }
 
 TEST(CompactCluster, BitIdenticalWithHeterogeneousSpeeds) {
-  // Speeds shape service times identically on both engines (the policy's
-  // information is still exchangeable queue lengths).
+  // Speeds shape service times identically on both engines, and they
+  // are what makes least-work differ from JSQ.
   const int n = 4;
-  ClusterConfig cfg;
-  cfg.servers = n;
-  cfg.jobs = 50'000;
+  ClusterConfig cfg = base_config(n, 50'000);
   cfg.warmup = 5'000;
   cfg.seed = 777;
   cfg.server_speeds = {2.0, 1.0, 1.0, 0.5};
-  const auto arr = make_exponential(0.8 * n);
+  for (const auto& policy : all_policies(n))
+    expect_oracle_on_poisson(cfg, *policy, 0.8, policy->name() + " hetero");
+}
+
+TEST(CompactCluster, BitIdenticalWithWindowsAndSla) {
+  // The optional recorders see the same departures in the same order.
+  const int n = 5;
+  ClusterConfig cfg = base_config(n, 40'000, 2);
+  cfg.window_width = 500.0;
+  cfg.sla_threshold = 2.0;
+  for (const auto& policy : all_policies(n))
+    expect_oracle_on_poisson(cfg, *policy, 0.85,
+                             policy->name() + " windows+sla");
+}
+
+TEST(CompactCluster, ClusterStateViewMatchesTheOracleForEveryPolicy) {
+  // The engine's per-server view (queue_length, remaining_work, the idle
+  // FIFO and its rack slices) against the oracle's, driven by every
+  // built-in policy's select — blind and racked.
+  const int n = 8;
+  auto blind = symmetric_policies(n);
+  blind.push_back(std::make_unique<HistogramJsqPolicy>());
+  for (auto& inner : blind) {
+    ClusterStateOnly policy(std::move(inner));
+    expect_oracle_on_poisson(base_config(n, 40'000, 2), policy, 0.9,
+                             policy.name());
+  }
+  ClusterConfig racked = base_config(n, 40'000, 2);
+  racked.topology.racks = 2;
+  racked.topology.cross_latency = 0.5;
+  std::vector<std::unique_ptr<Policy>> rack;
+  rack.push_back(std::make_unique<RackLocalSqdPolicy>(n, 2, 2));
+  rack.push_back(std::make_unique<RackJiqPolicy>(n, 2));
+  rack.push_back(std::make_unique<SqdPolicy>(n, 2));
+  for (auto& inner : rack) {
+    ClusterStateOnly policy(std::move(inner));
+    expect_oracle_on_poisson(racked, policy, 0.9, policy.name() + " racked");
+  }
+}
+
+TEST(CompactCluster, LeastWorkAndRoundRobinSweepMatchesOracle) {
+  // The identity-aware policies over the full grid: fleet size x load x
+  // homogeneous/heterogeneous speeds x 1 or 3 replicas (144 configs).
+  for (const int n : {1, 2, 10, 20, 50, 100}) {
+    for (const double rho : {0.5, 0.9, 0.99}) {
+      for (const bool hetero : {false, true}) {
+        for (const int replicas : {1, 3}) {
+          ClusterConfig cfg = base_config(n, 15'000, replicas);
+          cfg.seed = 9'000 + static_cast<std::uint64_t>(n);
+          double capacity = n;
+          if (hetero) {
+            cfg.server_speeds.clear();
+            capacity = 0.0;
+            for (int s = 0; s < n; ++s) {
+              cfg.server_speeds.push_back(0.5 + 0.5 * (s % 3));
+              capacity += cfg.server_speeds.back();
+            }
+          }
+          const auto arr = make_exponential(rho * capacity);
+          const auto svc = make_exponential(1.0);
+          const std::string label =
+              "n=" + std::to_string(n) + " rho=" + std::to_string(rho) +
+              (hetero ? " hetero" : "") + " r=" + std::to_string(replicas);
+          LeastWorkLeftPolicy lwl;
+          expect_matches_oracle(cfg, lwl, *arr, *svc, "least-work " + label);
+          RoundRobinPolicy rr;
+          expect_matches_oracle(cfg, rr, *arr, *svc, "round-robin " + label);
+        }
+      }
+    }
+  }
+}
+
+TEST(CompactCluster, EngineSelectorIsInert) {
+  // ClusterConfig::engine survives for the benchmark harness only: every
+  // value runs the one engine, bit-identically.
+  const int n = 6;
+  SqdPolicy sqd(n, 2);
+  JiqPolicy jiq(n);
+  RoundRobinPolicy rr;
+  LeastWorkLeftPolicy lwl;
+  for (Policy* policy : std::vector<Policy*>{&sqd, &jiq, &rr, &lwl}) {
+    ClusterConfig cfg = base_config(n, 30'000, 2);
+    const auto auto_r = run_cluster(cfg, *policy);
+    cfg.engine = ClusterEngine::kLegacy;
+    const auto legacy_r = run_cluster(cfg, *policy);
+    cfg.engine = ClusterEngine::kCompact;
+    const auto compact_r = run_cluster(cfg, *policy);
+    expect_identical(auto_r, legacy_r, policy->name() + " auto==legacy");
+    expect_identical(auto_r, compact_r, policy->name() + " auto==compact");
+  }
+}
+
+TEST(CompactCluster, DrainsToAllIdle) {
+  // run() stops only after every arrival departed: the directory ends
+  // all idle, and the I-queue holds every server.
+  const int n = 7;
+  const auto arr = make_exponential(0.95 * n);
   const auto svc = make_exponential(1.0);
-  SqdPolicy policy(n, 2);
-  cfg.engine = ClusterEngine::kLegacy;
-  const auto legacy = simulate_cluster(cfg, policy, *arr, *svc);
-  cfg.engine = ClusterEngine::kCompact;
-  const auto compact = simulate_cluster(cfg, policy, *arr, *svc);
-  expect_identical(legacy, compact, "sq(2) hetero");
+  RenewalArrivals arrivals(*arr);
+  std::vector<std::unique_ptr<Policy>> policies = all_policies(n);
+  for (const auto& policy : policies) {
+    const ClusterConfig cfg = base_config(n, 20'000);
+    CompactClusterEngine engine(cfg, cfg.jobs, cfg.warmup, 100, cfg.seed,
+                                *policy, arrivals, *svc);
+    (void)engine.run();
+    const LevelDirectory& dir = engine.directory();
+    EXPECT_EQ(dir.max_level(), 0) << policy->name();
+    EXPECT_EQ(dir.idle_count(), n) << policy->name();
+    int walked = 0;
+    for (int s = dir.idle_head(); s >= 0; s = dir.idle_next(s)) ++walked;
+    EXPECT_EQ(walked, n) << policy->name();
+    for (int s = 0; s < n; ++s)
+      EXPECT_EQ(engine.remaining_work(s), 0.0) << policy->name();
+  }
 }
 
 TEST(CompactCluster, BitIdenticalOnTheAdaptivePath) {
+  // Replicas of every adaptive round, at the seeds and job counts the
+  // round schedule derives, through engine and oracle; then the public
+  // adaptive entry point must report the merged oracle statistics.
   const int n = 5;
   const auto arr = make_exponential(0.85 * n);
   const auto svc = make_exponential(1.0);
@@ -361,63 +642,71 @@ TEST(CompactCluster, BitIdenticalOnTheAdaptivePath) {
   ClusterConfig cfg;
   cfg.servers = n;
   cfg.seed = 99;
-  JiqPolicy policy(n);
-  cfg.engine = ClusterEngine::kLegacy;
-  const auto legacy = simulate_cluster_adaptive(
-      cfg, policy, *arr, *svc, plan, rlb::util::ThreadBudget::serial());
-  cfg.engine = ClusterEngine::kCompact;
-  rlb::util::ThreadBudget budget(4);
-  const auto compact =
-      simulate_cluster_adaptive(cfg, policy, *arr, *svc, plan, budget);
-  expect_identical(legacy, compact, "jiq adaptive");
-  EXPECT_EQ(legacy.adaptive.jobs_used, compact.adaptive.jobs_used);
-  EXPECT_EQ(legacy.adaptive.rounds, compact.adaptive.rounds);
-  EXPECT_DOUBLE_EQ(legacy.adaptive.half_width, compact.adaptive.half_width);
-}
-
-TEST(CompactCluster, AutoSelectsCompactForSymmetricPolicies) {
-  // kAuto must equal kCompact for a symmetric policy and kLegacy for an
-  // identity-aware one (round-robin still runs, on the legacy engine).
-  const int n = 6;
-  SqdPolicy sqd(n, 2);
-  const auto auto_r = run_with_engine(ClusterEngine::kAuto, sqd, n);
-  const auto compact_r = run_with_engine(ClusterEngine::kCompact, sqd, n);
-  expect_identical(auto_r, compact_r, "sq(2) auto==compact");
-
-  RoundRobinPolicy rr;
-  const auto rr_auto = run_with_engine(ClusterEngine::kAuto, rr, n);
-  const auto rr_legacy = run_with_engine(ClusterEngine::kLegacy, rr, n);
-  expect_identical(rr_auto, rr_legacy, "round-robin auto==legacy");
-}
-
-TEST(CompactCluster, CompactEngineRejectsNonSymmetricPolicies) {
-  RoundRobinPolicy rr;
+  const std::uint64_t batch = plan.batch_size(cfg.batch_size);
+  RenewalArrivals arrivals(*arr);
+  JiqPolicy jiq(n);
   LeastWorkLeftPolicy lwl;
-  EXPECT_THROW(run_with_engine(ClusterEngine::kCompact, rr, 4),
-               std::invalid_argument);
-  EXPECT_THROW(run_with_engine(ClusterEngine::kCompact, lwl, 4),
-               std::invalid_argument);
+  for (Policy* policy : std::vector<Policy*>{&jiq, &lwl}) {
+    AdaptiveReport report;
+    const ClusterAccum merged = run_replicas_adaptive<ClusterAccum>(
+        plan, rlb::util::ThreadBudget::serial(),
+        [&](int global, std::uint64_t seed, std::uint64_t jobs,
+            std::uint64_t warmup) {
+          return run_replica_pair(
+              cfg, *policy, arrivals, *svc, jobs, warmup, batch, seed,
+              policy->name() + " adaptive replica " + std::to_string(global));
+        },
+        [](ClusterAccum& into, const ClusterAccum& from) { into.merge(from); },
+        [&](const ClusterAccum& m) {
+          return m.sojourn_ci.half_width_or_infinity(plan.confidence);
+        },
+        report);
+    EXPECT_GT(report.rounds, 1) << policy->name();
+    rlb::util::ThreadBudget budget(4);
+    const auto result =
+        simulate_cluster_adaptive(cfg, *policy, *arr, *svc, plan, budget);
+    expect_result_from(result, merged, n, policy->name() + " adaptive");
+    EXPECT_EQ(result.adaptive.jobs_used, report.jobs_used);
+    EXPECT_EQ(result.adaptive.rounds, report.rounds);
+    EXPECT_EQ(result.adaptive.half_width, report.half_width);
+  }
+}
+
+TEST(CompactCluster, HistogramJsqMatchesJsqStatistically) {
+  // jsq-h draws a uniform minimum-level server in O(1); same distribution
+  // as the jsq scan, different stream. Means must agree within CIs.
+  const int n = 8;
+  JsqPolicy jsq;
+  HistogramJsqPolicy jsqh;
+  const auto a = run_cluster(base_config(n, 300'000), jsq);
+  const auto b = run_cluster(base_config(n, 300'000), jsqh);
+  EXPECT_NEAR(a.mean_sojourn, b.mean_sojourn,
+              3.0 * (a.ci95_sojourn + b.ci95_sojourn) + 0.01);
+  // jsq-h's select (index order) and select_direct (block order) map the
+  // same draw to different servers, so engine and oracle agree only in
+  // distribution; the bit-exact check runs through ClusterStateOnly.
+  const ClusterConfig cfg = base_config(n);
+  const auto engine_h = run_cluster(cfg, jsqh);
+  const auto ia = make_exponential(0.9 * n);
+  const auto svc = make_exponential(1.0);
+  RenewalArrivals arrivals(*ia);
+  LegacyClusterOracle oracle(cfg, cfg.jobs, cfg.warmup, cfg.jobs / 30,
+                             cfg.seed, jsqh, arrivals, *svc);
+  const ClusterAccum legacy_h = oracle.run();
+  EXPECT_NEAR(engine_h.mean_sojourn, legacy_h.sojourn_stats.mean(),
+              3.0 * (engine_h.ci95_sojourn +
+                     legacy_h.sojourn_ci.half_width(0.95)) +
+                  0.01);
 }
 
 // ---------------------------------------------------------------------------
 // Rack topology (docs/TOPOLOGY.md)
 
-ClusterResult run_topology(ClusterEngine engine, Policy& policy, int n,
-                           const Topology& topo, int replicas = 1,
-                           int threads = 1, double rho = 0.9,
-                           std::uint64_t jobs = 60'000) {
-  ClusterConfig cfg;
-  cfg.servers = n;
-  cfg.jobs = jobs;
-  cfg.warmup = jobs / 10;
-  cfg.seed = 4242;
-  cfg.replicas = replicas;
-  cfg.engine = engine;
+ClusterConfig racked_config(int n, const Topology& topo,
+                            std::uint64_t jobs = 60'000, int replicas = 1) {
+  ClusterConfig cfg = base_config(n, jobs, replicas);
   cfg.topology = topo;
-  const auto arr = make_exponential(rho * n);
-  const auto svc = make_exponential(1.0);
-  rlb::util::ThreadBudget budget(threads);
-  return simulate_cluster(cfg, policy, *arr, *svc, budget);
+  return cfg;
 }
 
 std::vector<std::unique_ptr<Policy>> rack_policies(int n, int racks) {
@@ -431,18 +720,16 @@ std::vector<std::unique_ptr<Policy>> rack_policies(int n, int racks) {
 
 TEST(RackTopology, ZeroPenaltyBlindPoliciesMatchTopologyBlindBitForBit) {
   // Racks without a penalty are unobservable to a blind policy: no home
-  // draw happens and every output bit equals the untopologized run —
-  // which is why no committed baseline moves under this PR.
+  // draw happens and every output bit equals the untopologized run.
   const int n = 8;
   Topology racked;
   racked.racks = 4;  // zero penalty
-  for (const auto& policy : symmetric_policies(n)) {
-    for (ClusterEngine engine :
-         {ClusterEngine::kLegacy, ClusterEngine::kCompact}) {
-      const auto blind = run_with_engine(engine, *policy, n);
-      const auto topo = run_topology(engine, *policy, n, racked);
-      expect_identical(blind, topo, policy->name() + " zero-penalty");
-    }
+  for (const auto& policy : all_policies(n)) {
+    const auto blind = run_cluster(base_config(n), *policy);
+    const auto topo = run_cluster(racked_config(n, racked), *policy);
+    expect_identical(blind, topo, policy->name() + " zero-penalty");
+    expect_oracle_on_poisson(racked_config(n, racked), *policy, 0.9,
+                             policy->name() + " zero-penalty");
   }
 }
 
@@ -454,78 +741,63 @@ TEST(RackTopology, SingleRackPenaltyIsUnobservable) {
   one_rack.cross_latency = 2.0;
   one_rack.cross_capacity = 0.5;
   SqdPolicy sqd(n, 2);
-  const auto blind = run_with_engine(ClusterEngine::kCompact, sqd, n);
-  const auto topo = run_topology(ClusterEngine::kCompact, sqd, n, one_rack);
+  const auto blind = run_cluster(base_config(n), sqd);
+  const auto topo = run_cluster(racked_config(n, one_rack), sqd);
   expect_identical(blind, topo, "sq(2) single-rack");
 }
 
 TEST(RackTopology, CompactBitIdenticalToLegacyForRackPolicies) {
-  // The engine-equivalence contract extends to locality-aware dispatch
-  // under a real penalty: same home draws, same selections, same
-  // penalized service times, bit for bit.
+  // The oracle contract extends to locality-aware dispatch under a real
+  // penalty: same home draws, same selections, same penalized service
+  // times, bit for bit.
   const int n = 8, racks = 2;
   Topology topo;
   topo.racks = racks;
   topo.cross_latency = 0.5;
-  for (const auto& policy : rack_policies(n, racks)) {
-    const auto legacy = run_topology(ClusterEngine::kLegacy, *policy, n, topo);
-    const auto compact =
-        run_topology(ClusterEngine::kCompact, *policy, n, topo);
-    expect_identical(legacy, compact, policy->name());
-  }
+  for (const auto& policy : rack_policies(n, racks))
+    expect_oracle_on_poisson(racked_config(n, topo), *policy, 0.9,
+                             policy->name());
   // Capacity-factor penalties exercise the other penalize() term.
   Topology slow;
   slow.racks = racks;
   slow.cross_capacity = 0.5;
-  for (const auto& policy : rack_policies(n, racks)) {
-    const auto legacy = run_topology(ClusterEngine::kLegacy, *policy, n, slow);
-    const auto compact =
-        run_topology(ClusterEngine::kCompact, *policy, n, slow);
-    expect_identical(legacy, compact, policy->name() + " capacity");
-  }
+  for (const auto& policy : rack_policies(n, racks))
+    expect_oracle_on_poisson(racked_config(n, slow), *policy, 0.9,
+                             policy->name() + " capacity");
 }
 
 TEST(RackTopology, BlindPoliciesUnderPenaltyStayEngineIdentical) {
   // A penalized topology with a blind policy still draws home racks (the
-  // penalty is observable) — both engines must agree on that stream too.
+  // penalty is observable) — engine and oracle must agree on that
+  // stream too, identity-aware policies included.
   const int n = 8;
   Topology topo;
   topo.racks = 4;
   topo.cross_latency = 1.0;
-  for (const auto& policy : symmetric_policies(n)) {
-    const auto legacy = run_topology(ClusterEngine::kLegacy, *policy, n, topo);
-    const auto compact =
-        run_topology(ClusterEngine::kCompact, *policy, n, topo);
-    expect_identical(legacy, compact, policy->name() + " penalized");
-  }
+  for (const auto& policy : all_policies(n))
+    expect_oracle_on_poisson(racked_config(n, topo), *policy, 0.9,
+                             policy->name() + " penalized");
 }
 
 TEST(RackTopology, RackJiqStealOrderAuditAcrossEngines) {
   // The per-rack JIQ steal contract: when the home rack has no idle
-  // server, both engines must steal the GLOBALLY longest-idle server.
-  // Run the policy in lockstep at loads where steals are common (home
-  // racks empty out constantly) and where they are rare, with a penalty
-  // so any divergence in WHICH server was stolen changes the service
-  // time and is caught bit-for-bit; replicas/threads shuffle nothing.
+  // server, the engine must steal the GLOBALLY longest-idle server, as
+  // the oracle's I-queue does. Run at loads where steals are common
+  // (home racks empty out constantly) and where they are rare, with a
+  // penalty so any divergence in WHICH server was stolen changes the
+  // service time and is caught bit-for-bit; replicas/threads shuffle
+  // nothing.
   const int n = 12, racks = 3;
   Topology topo;
   topo.racks = racks;
   topo.cross_latency = 0.25;
   for (double rho : {0.6, 0.95}) {
     RackJiqPolicy policy(n, racks);
-    const auto legacy = run_topology(ClusterEngine::kLegacy, policy, n, topo,
-                                     1, 1, rho, 80'000);
-    const auto compact = run_topology(ClusterEngine::kCompact, policy, n,
-                                      topo, 1, 1, rho, 80'000);
-    expect_identical(legacy, compact,
-                     "rack-jiq steal audit rho=" + std::to_string(rho));
-    const auto sharded = run_topology(ClusterEngine::kCompact, policy, n,
-                                      topo, 4, 4, rho, 80'000);
-    const auto sharded_legacy = run_topology(
-        ClusterEngine::kLegacy, policy, n, topo, 4, 1, rho, 80'000);
-    expect_identical(sharded_legacy, sharded,
-                     "rack-jiq steal audit sharded rho=" +
-                         std::to_string(rho));
+    const std::string label = "rack-jiq steal audit rho=" + std::to_string(rho);
+    expect_oracle_on_poisson(racked_config(n, topo, 80'000), policy, rho,
+                             label);
+    expect_oracle_on_poisson(racked_config(n, topo, 80'000, 4), policy, rho,
+                             label + " sharded", 4);
   }
 }
 
@@ -538,16 +810,15 @@ TEST(RackTopology, PenaltyActuallyHurtsBlindDispatch) {
   topo.racks = 4;
   topo.cross_latency = 2.0;
   SqdPolicy blind(n, 2);
-  const auto base = run_with_engine(ClusterEngine::kCompact, blind, n);
-  const auto hurt = run_topology(ClusterEngine::kCompact, blind, n, topo);
+  const auto base = run_cluster(base_config(n), blind);
+  const auto hurt = run_cluster(racked_config(n, topo), blind);
   EXPECT_GT(hurt.mean_sojourn, base.mean_sojourn + 1.0);
   RackLocalSqdPolicy local(n, 4, 2, 0);
   Topology racked_free;
   racked_free.racks = 4;  // zero penalty
-  const auto contained =
-      run_topology(ClusterEngine::kCompact, local, n, topo, 1, 1, 0.7);
+  const auto contained = run_cluster(racked_config(n, topo), local, 0.7);
   const auto contained_base =
-      run_topology(ClusterEngine::kCompact, local, n, racked_free, 1, 1, 0.7);
+      run_cluster(racked_config(n, racked_free), local, 0.7);
   // Same policy, same seeds: zero penalty and huge penalty agree exactly
   // because no dispatch ever leaves its rack.
   expect_identical(contained, contained_base, "no-spill contains penalty");
@@ -565,8 +836,8 @@ TEST(RackTopology, NoSpillZeroPenaltyMatchesTheExactPerRackSolver) {
   Topology topo;
   topo.racks = racks;  // zero penalty
   RackLocalSqdPolicy local(n, racks, d, 0);
-  const auto sim = run_topology(ClusterEngine::kCompact, local, n, topo, 4,
-                                1, rho, 2'000'000);
+  const auto sim =
+      run_cluster(racked_config(n, topo, 2'000'000, 4), local, rho);
   const auto exact = rlb::sqd::solve_exact_truncated(
       rlb::sqd::Params{per, d, rho, 1.0}, 26);
   EXPECT_NEAR(sim.mean_sojourn, exact.mean_delay,
@@ -577,50 +848,27 @@ TEST(RackTopology, ValidatesConfiguration) {
   SqdPolicy sqd(6, 2);
   Topology bad;
   bad.racks = 4;  // 6 % 4 != 0
-  EXPECT_THROW(run_topology(ClusterEngine::kLegacy, sqd, 6, bad),
+  EXPECT_THROW(run_cluster(racked_config(6, bad), sqd),
                std::invalid_argument);
   Topology negative;
   negative.cross_latency = -1.0;
-  EXPECT_THROW(run_topology(ClusterEngine::kLegacy, sqd, 6, negative),
+  EXPECT_THROW(run_cluster(racked_config(6, negative), sqd),
                std::invalid_argument);
   Topology zero_cap;
   zero_cap.cross_capacity = 0.0;
-  EXPECT_THROW(run_topology(ClusterEngine::kLegacy, sqd, 6, zero_cap),
+  EXPECT_THROW(run_cluster(racked_config(6, zero_cap), sqd),
                std::invalid_argument);
   // A rack policy built for 2 racks cannot run on 3 (or on the default
   // single-rack topology).
   RackLocalSqdPolicy rsqd(6, 2, 2);
   Topology three;
   three.racks = 3;
-  EXPECT_THROW(run_topology(ClusterEngine::kCompact, rsqd, 6, three),
+  EXPECT_THROW(run_cluster(racked_config(6, three), rsqd),
                std::invalid_argument);
-  EXPECT_THROW(run_with_engine(ClusterEngine::kCompact, rsqd, 6),
-               std::invalid_argument);
+  EXPECT_THROW(run_cluster(base_config(6), rsqd), std::invalid_argument);
   Topology two;
   two.racks = 2;
-  EXPECT_NO_THROW(run_topology(ClusterEngine::kCompact, rsqd, 6, two));
-}
-
-TEST(CompactCluster, HistogramJsqMatchesJsqStatistically) {
-  // jsq-h draws a uniform minimum-level server in O(1); same distribution
-  // as the jsq scan, different stream. Means must agree within CIs.
-  const int n = 8;
-  JsqPolicy jsq;
-  HistogramJsqPolicy jsqh;
-  const auto a =
-      run_with_engine(ClusterEngine::kCompact, jsq, n, 1, 1, 300'000);
-  const auto b =
-      run_with_engine(ClusterEngine::kCompact, jsqh, n, 1, 1, 300'000);
-  EXPECT_NEAR(a.mean_sojourn, b.mean_sojourn,
-              3.0 * (a.ci95_sojourn + b.ci95_sojourn) + 0.01);
-  // And jsq-h itself is engine-bit-identical (its two paths share the
-  // distribution but the ENGINE contract is about one policy run twice).
-  const auto legacy_h =
-      run_with_engine(ClusterEngine::kLegacy, jsqh, n, 1, 1, 60'000);
-  const auto compact_h =
-      run_with_engine(ClusterEngine::kCompact, jsqh, n, 1, 1, 60'000);
-  EXPECT_NEAR(legacy_h.mean_sojourn, compact_h.mean_sojourn,
-              3.0 * (legacy_h.ci95_sojourn + compact_h.ci95_sojourn) + 0.01);
+  EXPECT_NO_THROW(run_cluster(racked_config(6, two), rsqd));
 }
 
 }  // namespace

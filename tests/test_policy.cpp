@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/level_directory.h"
+
 namespace {
 
 using namespace rlb::sim;
@@ -225,44 +227,59 @@ TEST(JbtPolicy, ValidatesParameters) {
   EXPECT_NEAR(counts[1], trials / 2.0, 400);
 }
 
-/// Test double for the compressed-state view: levels given directly;
-/// idle FIFO and within-level sampling use server-index order.
-class FakeHistogramView final : public QueueHistogramView {
+/// A real directory holding `levels`, with the idle servers queued in
+/// `idle_order` (index order when empty): every server is busied once,
+/// then raised to its level or idled again in that order. `racks` > 0
+/// arms the per-rack idle FIFOs first.
+LevelDirectory directory_with(const std::vector<int>& levels,
+                              std::vector<int> idle_order = {},
+                              int racks = 0) {
+  const int n = static_cast<int>(levels.size());
+  LevelDirectory dir(n);
+  if (racks > 0) dir.arm_racks(racks);
+  for (int s = 0; s < n; ++s) dir.increment(s);
+  for (int s = 0; s < n; ++s)
+    for (int k = 1; k < levels[s]; ++k) dir.increment(s);
+  if (idle_order.empty())
+    for (int s = 0; s < n; ++s)
+      if (levels[s] == 0) idle_order.push_back(s);
+  for (int s : idle_order) dir.decrement(s);
+  return dir;
+}
+
+/// A LevelDirectory seen through the per-server ClusterState interface,
+/// idle-FIFO order included — the view the cluster engine gives
+/// identity-aware policies.
+class DirectoryCluster final : public ClusterState {
  public:
-  explicit FakeHistogramView(std::vector<int> levels)
-      : levels_(std::move(levels)) {}
-  int servers() const override { return static_cast<int>(levels_.size()); }
-  int max_level() const override {
-    int m = 0;
-    for (int l : levels_) m = std::max(m, l);
-    return m;
-  }
-  int count_at(int level) const override {
-    int c = 0;
-    for (int l : levels_)
-      if (l == level) ++c;
-    return c;
-  }
-  int idle_count() const override { return count_at(0); }
-  int idle_head() const override {
-    for (int s = 0; s < servers(); ++s)
-      if (levels_[s] == 0) return s;
-    return -1;
-  }
-  int level_of(int server) const override { return levels_[server]; }
-  int sample_at_level(int level, Rng& rng) const override {
-    auto j = rng.uniform_int(static_cast<std::uint64_t>(count_at(level)));
-    for (int s = 0; s < servers(); ++s) {
-      if (levels_[s] != level) continue;
-      if (j == 0) return s;
-      --j;
-    }
-    return -1;
+  explicit DirectoryCluster(const LevelDirectory& dir) : dir_(dir) {}
+  int servers() const override { return dir_.servers(); }
+  int queue_length(int s) const override { return dir_.level_of(s); }
+  double remaining_work(int) const override { return 0.0; }
+  int idle_servers() const override { return dir_.idle_count(); }
+  int idle_server(int i) const override {
+    int s = dir_.idle_head();
+    for (; i > 0; --i) s = dir_.idle_next(s);
+    return s;
   }
 
  private:
-  std::vector<int> levels_;
+  const LevelDirectory& dir_;
 };
+
+/// Moves the shared state between lockstep draws: the selected server
+/// gains a job, and half the time a random busy server loses one.
+void evolve(LevelDirectory& dir, int selected, Rng& rng) {
+  dir.increment(selected);
+  if (rng.uniform_int(2) == 0) return;
+  const int n = dir.servers();
+  for (int s = static_cast<int>(rng.uniform_int(n));; s = (s + 1) % n) {
+    if (dir.level_of(s) > 0) {
+      dir.decrement(s);
+      return;
+    }
+  }
+}
 
 TEST(SymmetricDispatch, CapabilityFlagsMatchTheEngineContract) {
   EXPECT_TRUE(SqdPolicy(4, 2).symmetric());
@@ -275,20 +292,20 @@ TEST(SymmetricDispatch, CapabilityFlagsMatchTheEngineContract) {
 }
 
 TEST(SymmetricDispatch, DefaultSelectSymmetricRefusesToRun) {
+  // The symmetric (directory) dispatch of a non-symmetric policy throws.
   RoundRobinPolicy policy;
-  FakeHistogramView view({0, 0});
+  const LevelDirectory dir(2);
   Rng rng(1);
-  EXPECT_THROW((void)policy.select_symmetric(view, rng), std::logic_error);
+  EXPECT_THROW((void)policy.select_direct(dir, rng), std::logic_error);
 }
 
 TEST(SymmetricDispatch, MatchesSelectDrawForDrawOnTheSameState) {
-  // The bit-identity contract at policy level: on equal cluster states,
-  // select and select_symmetric walk the same random stream to the same
-  // server, for every symmetric policy. (jsq-h is exempt by design: same
-  // draw count and distribution, different server mapping.)
-  const std::vector<int> lens{2, 0, 1, 2, 0, 3};
-  FakeCluster cluster(lens);
-  FakeHistogramView view(lens);
+  // The bit-identity contract the engine relies on: on equal cluster
+  // states, select and select_direct walk the same random stream to the
+  // same server, for every symmetric policy. The state evolves between
+  // draws and its idle FIFO is not in index order, so JIQ's idle head is
+  // checked against the became-idle order. (jsq-h is exempt by design:
+  // same draw count and distribution, different server mapping.)
   SqdPolicy sqd(6, 3);
   JsqPolicy jsq;
   JiqPolicy jiq(6);
@@ -298,10 +315,14 @@ TEST(SymmetricDispatch, MatchesSelectDrawForDrawOnTheSameState) {
        {static_cast<Policy*>(&sqd), static_cast<Policy*>(&jsq),
         static_cast<Policy*>(&jiq), static_cast<Policy*>(&jbt),
         static_cast<Policy*>(&jbt_r)}) {
-    Rng rng_a(57), rng_b(57);
+    LevelDirectory dir = directory_with({2, 0, 1, 2, 0, 3}, {4, 1});
+    const DirectoryCluster cluster(dir);
+    Rng rng_a(57), rng_b(57), moves(58);
     for (int i = 0; i < 300; ++i) {
-      EXPECT_EQ(p->select(cluster, rng_a), p->select_symmetric(view, rng_b))
+      const int a = p->select(cluster, rng_a);
+      ASSERT_EQ(a, p->select_direct(dir, rng_b))
           << p->name() << " draw " << i;
+      evolve(dir, a, moves);
     }
     // Streams must stay in lockstep after the selections too.
     EXPECT_EQ(rng_a.uniform_int(1u << 30), rng_b.uniform_int(1u << 30))
@@ -310,27 +331,27 @@ TEST(SymmetricDispatch, MatchesSelectDrawForDrawOnTheSameState) {
 }
 
 TEST(SymmetricDispatch, JiqFallsBackThroughTheViewWhenNoneIdle) {
-  FakeHistogramView view({1, 2, 1, 3});
+  const LevelDirectory dir = directory_with({1, 2, 1, 3});
   JiqPolicy policy(4);  // sq(1) fallback = uniform random
   Rng rng(61);
   std::vector<int> counts(4, 0);
   const int trials = 40000;
   for (int i = 0; i < trials; ++i)
-    ++counts[policy.select_symmetric(view, rng)];
+    ++counts[policy.select_direct(dir, rng)];
   for (int c : counts) EXPECT_NEAR(c, trials / 4.0, 500);
 }
 
 TEST(HistogramJsqPolicy, UniformAmongMinimaOnBothPaths) {
   const std::vector<int> lens{4, 1, 3, 1, 5};
   FakeCluster cluster(lens);
-  FakeHistogramView view(lens);
+  const LevelDirectory dir = directory_with(lens);
   HistogramJsqPolicy policy;
   Rng rng(67);
   std::vector<int> scan_counts(5, 0), view_counts(5, 0);
   const int trials = 20000;
   for (int i = 0; i < trials; ++i) {
     ++scan_counts[policy.select(cluster, rng)];
-    ++view_counts[policy.select_symmetric(view, rng)];
+    ++view_counts[policy.select_direct(dir, rng)];
   }
   for (const auto& counts : {scan_counts, view_counts}) {
     EXPECT_EQ(counts[0], 0);
@@ -447,24 +468,25 @@ TEST(RackPolicies, CapabilitiesAndNames) {
 
 TEST(RackDispatch, MatchesSelectDrawForDrawOnTheSameState) {
   // The bit-identity contract extends to the rack-aware overloads: on
-  // equal states (and the same home rack) the legacy and symmetric paths
-  // walk the same random stream to the same server. The fakes agree on
-  // idle order (index order), as the real engines do (I-queue FIFO).
-  const std::vector<int> lens{2, 0, 1, 2, 0, 3};
-  FakeCluster cluster(lens);
-  FakeHistogramView view(lens);
+  // equal states (and the same home rack) select and select_direct walk
+  // the same random stream to the same server. The directory's armed
+  // per-rack FIFOs must agree with the ClusterState walk of the global
+  // I-queue restricted to each rack, steals included.
   RackLocalSqdPolicy rsqd(6, 2, 2);
   RackLocalSqdPolicy rlocal(6, 2, 2, 0);
   RackJiqPolicy rjiq(6, 2);
   for (Policy* p :
        {static_cast<Policy*>(&rsqd), static_cast<Policy*>(&rlocal),
         static_cast<Policy*>(&rjiq)}) {
-    Rng rng_a(107), rng_b(107);
+    LevelDirectory dir = directory_with({2, 0, 1, 2, 0, 3}, {4, 1}, 2);
+    const DirectoryCluster cluster(dir);
+    Rng rng_a(107), rng_b(107), moves(108);
     for (int i = 0; i < 300; ++i) {
       const int home = i % 2;
-      EXPECT_EQ(p->select(cluster, home, rng_a),
-                p->select_symmetric(view, home, rng_b))
+      const int a = p->select(cluster, home, rng_a);
+      ASSERT_EQ(a, p->select_direct(dir, home, rng_b))
           << p->name() << " draw " << i;
+      evolve(dir, a, moves);
     }
     EXPECT_EQ(rng_a.uniform_int(1u << 30), rng_b.uniform_int(1u << 30))
         << p->name();
