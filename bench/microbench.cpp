@@ -1,5 +1,6 @@
 // Experiment E12 — microbenchmarks (google-benchmark) for the numerical
-// kernels and simulators: LU solve, logarithmic reduction, QBD boundary
+// kernels and simulators: LU solve, the row-update kernel behind matrix
+// products and multi-RHS solves, logarithmic reduction, QBD boundary
 // solve, fast simulator throughput, and the cluster-DES hot paths —
 // the engine's event loop, calendar queue vs binary heap,
 // histogram-directory sampling, and replica-stats merging. CI runs this
@@ -59,6 +60,52 @@ void BM_LogReduction(benchmark::State& state) {
   state.SetLabel("block=" + std::to_string(q.blocks.block_size()));
 }
 BENCHMARK(BM_LogReduction)->Arg(3)->Arg(6)->Arg(12);
+
+/// The operands of the first logarithmic-reduction step on the Fig. 10(d)
+/// (N, T) = (12, 3) upper model at rho = 0.7 (block 364, B1/B2 ~13%
+/// nonzero): B1 = (-A1)^{-1} A0, B2 = (-A1)^{-1} A2 and
+/// U = I - B1 B2 - B2 B1. Built once and shared by the kernel benchmarks.
+struct LogredStep {
+  rlb::linalg::Matrix b1, b2, u;
+};
+
+const LogredStep& logred_step_364() {
+  static const LogredStep step = [] {
+    const rlb::sqd::BoundModel model(rlb::sqd::Params{12, 2, 0.7, 1.0}, 3,
+                                     rlb::sqd::BoundKind::Upper);
+    const auto q = rlb::sqd::build_bound_qbd(model);
+    rlb::linalg::Matrix neg_a1 = q.blocks.A1;
+    neg_a1 *= -1.0;
+    const rlb::linalg::Lu lu(std::move(neg_a1));
+    LogredStep s{lu.solve(q.blocks.A0), lu.solve(q.blocks.A2), {}};
+    s.u = rlb::linalg::Matrix::identity(s.b1.rows());
+    s.u -= s.b1 * s.b2;
+    s.u -= s.b2 * s.b1;
+    return s;
+  }();
+  return step;
+}
+
+/// One sparse-times-sparse product of logred at block 364 (B1 B2). The
+/// argument only names the block size.
+void BM_MatMul(benchmark::State& state) {
+  const LogredStep& s = logred_step_364();
+  for (auto _ : state) benchmark::DoNotOptimize(s.b1 * s.b2);
+  state.SetLabel("block=" + std::to_string(s.b1.rows()));
+}
+BENCHMARK(BM_MatMul)->Arg(364)->Unit(benchmark::kMillisecond);
+
+/// One multi-RHS solve of logred at block 364: U^{-1} (B1 B1) through an
+/// existing factorization (the factorization is outside the loop). The
+/// argument only names the block size.
+void BM_LuSolveMatrix(benchmark::State& state) {
+  const LogredStep& s = logred_step_364();
+  const rlb::linalg::Lu lu(s.u);
+  const rlb::linalg::Matrix rhs = s.b1 * s.b1;
+  for (auto _ : state) benchmark::DoNotOptimize(lu.solve(rhs));
+  state.SetLabel("block=" + std::to_string(s.u.rows()));
+}
+BENCHMARK(BM_LuSolveMatrix)->Arg(364)->Unit(benchmark::kMillisecond);
 
 void BM_FullBoundSolve(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

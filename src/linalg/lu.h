@@ -6,7 +6,10 @@
 namespace rlb::linalg {
 
 /// Factorization P·A = L·U stored compactly. Throws std::runtime_error if A
-/// is numerically singular.
+/// is numerically singular. The elimination runs in panels of four pivot
+/// columns through the shared row-update kernel (detail::add_scaled_rows);
+/// every entry of L and U gets the same operations, in the same order, as
+/// eliminating one column at a time.
 class Lu {
  public:
   explicit Lu(Matrix a);
@@ -16,10 +19,13 @@ class Lu {
   /// Solve A x = b.
   [[nodiscard]] Vector solve(Vector b) const;
 
-  /// Solve A X = B column-by-column.
+  /// Solve A X = B for all columns at once, row by row through the shared
+  /// row-update kernel (detail::add_scaled_rows). Each entry of X gets the
+  /// same operations in the same order as solve(Vector) on its column, so
+  /// the two compare equal; zero multipliers of L and U are skipped.
   [[nodiscard]] Matrix solve(const Matrix& b) const;
 
-  /// A^{-1} (via n solves).
+  /// A^{-1} (one multi-RHS solve against the identity).
   [[nodiscard]] Matrix inverse() const;
 
  private:

@@ -8,6 +8,45 @@
 
 namespace rlb::linalg {
 
+namespace {
+
+// dst[c] += a0·r0[c], then a1·r1[c], a2·r2[c], a3·r3[c], with the entry held
+// in a register across the four updates.
+void add_four_rows(double* __restrict dst, const double* __restrict r0,
+                   const double* __restrict r1, const double* __restrict r2,
+                   const double* __restrict r3, double a0, double a1,
+                   double a2, double a3, std::size_t m) {
+  for (std::size_t c = 0; c < m; ++c) {
+    double v = dst[c];
+    v += a0 * r0[c];
+    v += a1 * r1[c];
+    v += a2 * r2[c];
+    v += a3 * r3[c];
+    dst[c] = v;
+  }
+}
+
+void add_one_row(double* __restrict dst, const double* __restrict r0,
+                 double a0, std::size_t m) {
+  for (std::size_t c = 0; c < m; ++c) dst[c] += a0 * r0[c];
+}
+
+}  // namespace
+
+namespace detail {
+
+void add_scaled_rows(double* dst, const double* coef,
+                     const double* const* rows, std::size_t k,
+                     std::size_t m) {
+  std::size_t r = 0;
+  for (; r + 4 <= k; r += 4)
+    add_four_rows(dst, rows[r], rows[r + 1], rows[r + 2], rows[r + 3],
+                  coef[r], coef[r + 1], coef[r + 2], coef[r + 3], m);
+  for (; r < k; ++r) add_one_row(dst, rows[r], coef[r], m);
+}
+
+}  // namespace detail
+
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
@@ -72,12 +111,19 @@ Matrix operator*(double s, Matrix rhs) { return rhs *= s; }
 Matrix operator*(const Matrix& a, const Matrix& b) {
   RLB_REQUIRE(a.cols() == b.rows(), "matmul shape mismatch");
   Matrix c(a.rows(), b.cols(), 0.0);
+  if (c.empty()) return c;
+  std::vector<double> coef(a.cols());
+  std::vector<const double*> rows(a.cols());
   for (std::size_t i = 0; i < a.rows(); ++i) {
+    std::size_t nz = 0;
     for (std::size_t k = 0; k < a.cols(); ++k) {
       const double aik = a(i, k);
       if (aik == 0.0) continue;
-      for (std::size_t j = 0; j < b.cols(); ++j) c(i, j) += aik * b(k, j);
+      coef[nz] = aik;
+      rows[nz++] = b.data().data() + k * b.cols();
     }
+    detail::add_scaled_rows(&c(i, 0), coef.data(), rows.data(), nz,
+                            b.cols());
   }
   return c;
 }

@@ -1,5 +1,7 @@
 #include "qbd/logred.h"
 
+#include <utility>
+
 #include "linalg/lu.h"
 #include "util/require.h"
 
@@ -29,7 +31,7 @@ GResult logarithmic_reduction(const Matrix& A0, const Matrix& A1,
   // B1 = (-A1)^{-1} A0,  B2 = (-A1)^{-1} A2.
   Matrix neg_a1 = A1;
   neg_a1 *= -1.0;
-  const Lu lu(neg_a1);
+  const Lu lu(std::move(neg_a1));
   Matrix b1 = lu.solve(A0);
   Matrix b2 = lu.solve(A2);
 
@@ -45,7 +47,7 @@ GResult logarithmic_reduction(const Matrix& A0, const Matrix& A1,
     Matrix u = I;
     u -= b1 * b2;
     u -= b2 * b1;
-    const Lu lu_u(u);
+    const Lu lu_u(std::move(u));
     const Matrix b1_next = lu_u.solve(b1 * b1);
     const Matrix b2_next = lu_u.solve(b2 * b2);
     const Matrix increment = prefix * b2_next;
@@ -68,7 +70,7 @@ GResult functional_iteration(const Matrix& A0, const Matrix& A1,
   check_shapes(A0, A1, A2);
   Matrix neg_a1 = A1;
   neg_a1 *= -1.0;
-  const Lu lu(neg_a1);
+  const Lu lu(std::move(neg_a1));
   Matrix g(A0.rows(), A0.cols(), 0.0);
   GResult out;
   for (int it = 1; it <= max_iter; ++it) {

@@ -50,7 +50,8 @@ BoundaryResult solve_boundary(const Blocks& b, const Matrix& corner,
   Vector rhs(n, 0.0);
   rhs[0] = 1.0;
 
-  const Vector x = linalg::solve(mt, std::move(rhs));
+  // Factor the (nb + 2m)^2 system in place rather than copying it.
+  const Vector x = linalg::Lu(std::move(mt)).solve(std::move(rhs));
   BoundaryResult out;
   out.pi_b.assign(x.begin(), x.begin() + nb);
   out.pi0.assign(x.begin() + nb, x.begin() + nb + m);

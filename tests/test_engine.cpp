@@ -58,7 +58,7 @@ TEST(ScenarioRegistry, UnknownScenarioThrowsWithKnownNames) {
   registry.add(make_scenario("alpha"));
   EXPECT_FALSE(registry.contains("nope"));
   try {
-    registry.get("nope");
+    static_cast<void>(registry.get("nope"));
     FAIL() << "expected UnknownScenarioError";
   } catch (const UnknownScenarioError& e) {
     const std::string message = e.what();
@@ -169,7 +169,7 @@ TEST(Sweep, GridEnumeratesAllCellsWithDistinctSeeds) {
   std::sort(seeds.begin(), seeds.end());
   EXPECT_EQ(std::adjacent_find(seeds.begin(), seeds.end()), seeds.end())
       << "per-cell seeds must be pairwise distinct";
-  EXPECT_THROW(grid.point(12), std::exception);
+  EXPECT_THROW(static_cast<void>(grid.point(12)), std::exception);
 }
 
 TEST(Sweep, ParallelMapPropagatesExceptions) {

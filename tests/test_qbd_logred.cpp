@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "linalg/eigen.h"
+#include "linalg_reference.h"
 #include "qbd/drift.h"
 #include "sqd/blocks_builder.h"
 
@@ -142,6 +143,69 @@ TEST(Drift, UpperModelUnstableAtHighRhoSmallT) {
   const auto q = rlb::sqd::build_bound_qbd(model);
   const auto d = qbd::drift_condition(q.blocks.A0, q.blocks.A1, q.blocks.A2);
   EXPECT_FALSE(d.stable);
+}
+
+// The logarithmic-reduction loop of qbd/logred.cpp rebuilt on the scalar
+// reference kernels (ikj product, scalar LU, column-by-column solve).
+struct ReferenceG {
+  Matrix G;
+  int iterations = 0;
+};
+
+ReferenceG reference_logred(const Matrix& A0, const Matrix& A1,
+                            const Matrix& A2, double tol = 1e-14,
+                            int max_iter = 64) {
+  namespace ref = rlb::linalg::reference;
+  const Matrix I = Matrix::identity(A0.rows());
+  Matrix neg_a1 = A1;
+  neg_a1 *= -1.0;
+  const ref::Lu lu(neg_a1);
+  Matrix b1 = lu.solve(A0);
+  Matrix b2 = lu.solve(A2);
+  ReferenceG out;
+  out.G = b2;
+  Matrix prefix = b1;
+  for (int it = 1; it <= max_iter; ++it) {
+    out.iterations = it;
+    Matrix u = I;
+    u -= ref::matmul(b1, b2);
+    u -= ref::matmul(b2, b1);
+    const ref::Lu lu_u(u);
+    const Matrix b1_next = lu_u.solve(ref::matmul(b1, b1));
+    const Matrix b2_next = lu_u.solve(ref::matmul(b2, b2));
+    const Matrix increment = ref::matmul(prefix, b2_next);
+    out.G += increment;
+    prefix = ref::matmul(prefix, b1_next);
+    b1 = b1_next;
+    b2 = b2_next;
+    if (increment.max_abs() <= tol) break;
+  }
+  return out;
+}
+
+TEST(LogReduction, GAndREqualScalarReferenceLoops) {
+  // A stable (N, T) = (6, 3) upper model (block 56): G and R from the
+  // row-update kernel must equal the scalar loops entry for entry.
+  namespace ref = rlb::linalg::reference;
+  const rlb::sqd::BoundModel model(rlb::sqd::Params{6, 2, 0.7, 1.0}, 3,
+                                   rlb::sqd::BoundKind::Upper);
+  const auto q = rlb::sqd::build_bound_qbd(model);
+  const auto& b = q.blocks;
+  ASSERT_TRUE(qbd::drift_condition(b.A0, b.A1, b.A2).stable);
+  ASSERT_EQ(b.block_size(), 56u);
+
+  const auto g = qbd::logarithmic_reduction(b.A0, b.A1, b.A2);
+  const ReferenceG want = reference_logred(b.A0, b.A1, b.A2);
+  EXPECT_TRUE(g.converged);
+  EXPECT_EQ(g.iterations, want.iterations);
+  ref::expect_identical(g.G, want.G);
+
+  const Matrix r = qbd::rate_matrix_from_g(b.A0, b.A1, g.G);
+  Matrix neg_a0_t = b.A0.transpose();
+  neg_a0_t *= -1.0;
+  const Matrix k = b.A1 + ref::matmul(b.A0, want.G);
+  const Matrix r_want = ref::Lu(k.transpose()).solve(neg_a0_t).transpose();
+  ref::expect_identical(r, r_want);
 }
 
 }  // namespace

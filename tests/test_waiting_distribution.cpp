@@ -36,7 +36,9 @@ TEST(WaitingDistribution, BasicShapeProperties) {
   for (std::size_t k = 0; k < ts.size(); ++k) {
     EXPECT_GE(ccdf[k], 0.0);
     EXPECT_LE(ccdf[k], 1.0);
-    if (k > 0) EXPECT_LE(ccdf[k], ccdf[k - 1] + 1e-12);  // non-increasing
+    if (k > 0) {
+      EXPECT_LE(ccdf[k], ccdf[k - 1] + 1e-12);  // non-increasing
+    }
   }
   EXPECT_LT(ccdf.back(), 0.1);  // far tail decays
 }
