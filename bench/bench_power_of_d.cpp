@@ -50,65 +50,51 @@ ScenarioOutput run(ScenarioContext& ctx) {
   const bool adaptive = ctx.adaptive().enabled();
 
   const std::vector<double> rhos{0.5, 0.7, 0.9, 0.95, 0.99};
+  // One cell per (rho, task). One seed per rho row (not per cell): all
+  // policy columns see the same random streams, so column differences
+  // isolate the policy effect (common random numbers, as the original
+  // bench did) — which is why `task` is a coordinate alongside the seed.
+  std::vector<rlb::engine::CellSpec> specs;
+  for (std::size_t r = 0; r < rhos.size(); ++r)
+    for (std::size_t task = 0; task < kTasks; ++task)
+      specs.push_back(rlb::engine::CellSpec()
+                          .set("seed", rlb::engine::cell_seed(seed, r))
+                          .set("n", n)
+                          .set("jobs", jobs)
+                          .set("rho", rhos[r])
+                          .set("task", static_cast<std::uint64_t>(task)));
   // Cell values[0] is the delay; the report stays default in fixed mode
   // and for the solver task (which never enters the row aggregation).
   const auto cells = ctx.map_cells(
-      rhos.size() * kTasks,
-      [&](std::size_t i) {
-        // The row seed is shared across the policy columns (common random
-        // numbers), so `task` must be part of the key alongside it.
-        auto key = ctx.cell_key("power_of_d",
-                                rlb::engine::cell_seed(seed, i / kTasks));
-        key.set("n", n);
-        key.set("jobs", jobs);
-        key.set("rho", rhos[i / kTasks]);
-        key.set("task", static_cast<std::uint64_t>(i % kTasks));
-        return key;
-      },
-      [&](std::size_t i, const rlb::engine::CellRecord* refine_from) {
-        const double rho = rhos[i / kTasks];
-        const std::size_t task = i % kTasks;
-        rlb::engine::CellRecord rec;
+      "power_of_d", specs,
+      [&](const rlb::engine::CellSpec& cell,
+          const rlb::engine::CellRecord* refine_from) {
+        const int cell_n = cell.get<int>("n");
+        const double rho = cell.get<double>("rho");
+        const auto task = cell.get<std::uint64_t>("task");
         if (task == kTasks - 1) {
           // Lower bound for SQ(2) at this N (improved solver, T = 2).
-          const rlb::sqd::BoundModel lower(rlb::sqd::Params{n, 2, rho, 1.0},
-                                           2, rlb::sqd::BoundKind::Lower);
+          const rlb::sqd::BoundModel lower(
+              rlb::sqd::Params{cell_n, 2, rho, 1.0}, 2,
+              rlb::sqd::BoundKind::Lower);
+          rlb::engine::CellRecord rec;
           rec.values = {rlb::sqd::solve_lower_improved(lower).mean_delay};
           return rec;
         }
         using namespace rlb::sim;
         ClusterConfig cfg;
-        cfg.servers = n;
-        cfg.jobs = jobs;
-        cfg.warmup = jobs / 10;
-        // One seed per rho row (not per cell): all policy columns see the
-        // same random streams, so column differences isolate the policy
-        // effect (common random numbers, as the original bench did).
-        cfg.seed = rlb::engine::cell_seed(seed, i / kTasks);
+        cfg.servers = cell_n;
+        cfg.jobs = cell.get<std::uint64_t>("jobs");
+        cfg.warmup = cfg.jobs / 10;
+        cfg.seed = cell.get<std::uint64_t>("seed");
         cfg.replicas = ctx.replicas();
-        const auto arr = make_exponential(rho * n);
+        const auto arr = make_exponential(rho * cell_n);
+        RenewalArrivals arrivals(*arr);
         const auto svc = make_exponential(1.0);
-        const auto policy = make_policy(n, task);
-        if (adaptive) {
-          const auto plan = ctx.adaptive_plan(cfg.seed, jobs);
-          ClusterRoundState state;
-          const ClusterResult res =
-              refine_from != nullptr
-                  ? simulate_cluster_refine(cfg, *policy, *arr, *svc, plan,
-                                            refine_from->round_state,
-                                            ctx.budget(), &state)
-                  : simulate_cluster_adaptive(cfg, *policy, *arr, *svc,
-                                              plan, ctx.budget(), &state);
-          rec.values = {res.mean_sojourn};
-          rec.report = res.adaptive;
-          rec.round_state = state;
-          rec.has_round_state = true;
-          return rec;
-        }
-        rec.values = {
-            simulate_cluster(cfg, *policy, *arr, *svc, ctx.budget())
-                .mean_sojourn};
-        return rec;
+        const auto policy = make_policy(cell_n, task);
+        return rlb::engine::run_cluster_cell(ctx, cfg, *policy, arrivals,
+                                             *svc, refine_from,
+                                             {&ClusterResult::mean_sojourn});
       });
 
   ScenarioOutput out;

@@ -95,13 +95,10 @@ ScenarioOutput run(ScenarioContext& ctx) {
 
   // All DES cells share one seed and all tail cells share another, so the
   // arrival families are compared under common random numbers (as the
-  // original bench did with its fixed seeds).
-  struct Cell {
-    double value = 0.0;
-    rlb::sim::AdaptiveReport report;
-  };
+  // original bench did with its fixed seeds). Cell values[0] is the delay
+  // (DES) or the level ratio (tail).
   const bool adaptive = ctx.adaptive().enabled();
-  const auto cells = ctx.map<Cell>(7, [&](std::size_t i) {
+  const auto cells = ctx.map<rlb::engine::CellRecord>(7, [&](std::size_t i) {
     if (i < 4) {
       rlb::sim::ClusterConfig cfg;
       cfg.servers = n;
@@ -111,35 +108,32 @@ ScenarioOutput run(ScenarioContext& ctx) {
       cfg.replicas = ctx.replicas();
       rlb::sim::SqdPolicy policy(n, 2);
       const auto arr = des_sampler(i);
+      rlb::sim::RenewalArrivals arrivals(*arr);
       const auto svc = rlb::sim::make_exponential(1.0);
-      if (adaptive) {
-        const auto res = rlb::sim::simulate_cluster_adaptive(
-            cfg, policy, *arr, *svc, ctx.adaptive_plan(cfg.seed, jobs),
-            ctx.budget());
-        return Cell{res.mean_sojourn, res.adaptive};
-      }
-      return Cell{rlb::sim::simulate_cluster(cfg, policy, *arr, *svc,
-                                             ctx.budget())
-                      .mean_sojourn,
-                  {}};
+      return rlb::engine::run_cluster_cell(
+          ctx, cfg, policy, arrivals, *svc, nullptr,
+          {&rlb::sim::ClusterResult::mean_sojourn});
     }
     const rlb::sqd::BoundModel lower(rlb::sqd::Params{n2, 2, rho2, 1.0}, 2,
                                      rlb::sqd::BoundKind::Lower);
     const auto sampler = tail_sampler(i - 4);
     const std::uint64_t cell = rlb::engine::cell_seed(seed, 1);
+    rlb::engine::CellRecord rec;
     if (adaptive) {
       // The stopping target is the waiting-jobs CI (the level ratio has
       // no interval of its own); the tail estimate rides along.
       const auto res = rlb::sim::simulate_gi_lower_bound_adaptive(
           lower, *sampler, ctx.adaptive_plan(cell, 4 * jobs), ctx.budget());
-      return Cell{res.level_tail_ratio, res.adaptive};
+      rec.values = {res.level_tail_ratio};
+      rec.report = res.adaptive;
+      return rec;
     }
-    return Cell{rlb::sim::simulate_gi_lower_bound(lower, *sampler, 4 * jobs,
-                                                  jobs / 2, cell,
-                                                  ctx.replicas(),
-                                                  ctx.budget())
-                    .level_tail_ratio,
-                {}};
+    rec.values = {rlb::sim::simulate_gi_lower_bound(lower, *sampler, 4 * jobs,
+                                                    jobs / 2, cell,
+                                                    ctx.replicas(),
+                                                    ctx.budget())
+                      .level_tail_ratio};
+    return rec;
   });
 
   std::vector<std::string> des_header{"arrivals", "sigma", "sim mean delay"};
@@ -158,7 +152,7 @@ ScenarioOutput run(ScenarioContext& ctx) {
   for (std::size_t i = 0; i < des_entries.size(); ++i) {
     std::vector<std::string> row{des_entries[i].first,
                                  rlb::util::fmt(des_entries[i].second, 5),
-                                 rlb::util::fmt(cells[i].value, 4)};
+                                 rlb::util::fmt(cells[i].values[0], 4)};
     if (adaptive) rlb::engine::add_adaptive_cells(row, cells[i].report);
     sim_table.add_row(std::move(row));
   }
@@ -184,7 +178,7 @@ ScenarioOutput run(ScenarioContext& ctx) {
     std::vector<std::string> row{
         tail_entries[i].first,
         rlb::util::fmt(std::pow(tail_entries[i].second, n2), 5),
-        rlb::util::fmt(cells[4 + i].value, 5)};
+        rlb::util::fmt(cells[4 + i].values[0], 5)};
     if (adaptive) rlb::engine::add_adaptive_cells(row, cells[4 + i].report);
     tail_table.add_row(std::move(row));
   }

@@ -54,30 +54,26 @@ ScenarioOutput run(ScenarioContext& ctx) {
         cfg.replicas = ctx.replicas();
         rlb::sim::SqdPolicy policy(n, d);
         const auto arr = rlb::sim::make_exponential(rhos[i] * n);
+        rlb::sim::RenewalArrivals arrivals(*arr);
         const auto svc = rlb::sim::make_exponential(1.0);
+        // Under --target-ci the stopping target is the mean-sojourn CI;
+        // the quantile columns ride along on whatever budget it needed.
+        using rlb::sim::ClusterResult;
+        const rlb::engine::CellRecord sim = rlb::engine::run_cluster_cell(
+            ctx, cfg, policy, arrivals, *svc, nullptr,
+            {&ClusterResult::p50_sojourn, &ClusterResult::p95_sojourn,
+             &ClusterResult::p99_sojourn});
         CellResult cell;
-        rlb::sim::ClusterResult sim;
-        if (ctx.adaptive().enabled()) {
-          // Stopping target: the mean-sojourn CI; the quantile columns
-          // ride along on whatever budget the mean needed.
-          sim = rlb::sim::simulate_cluster_adaptive(
-              cfg, policy, *arr, *svc, ctx.adaptive_plan(cfg.seed, jobs),
-              ctx.budget());
-          cell.report = sim.adaptive;
-        } else {
-          sim = rlb::sim::simulate_cluster(cfg, policy, *arr, *svc,
-                                           ctx.budget());
-        }
-
+        cell.report = sim.report;
         cell.p_wait = profile.ccdf(0.0);
         cell.model_p50 = profile.quantile(0.50);
         cell.model_p95 = profile.quantile(0.95);
         cell.model_p99 = profile.quantile(0.99);
         // The DES reports sojourn quantiles; subtracting the unit mean
         // service gives a rough waiting comparison.
-        cell.sim_p50 = std::max(0.0, sim.p50_sojourn - 1.0);
-        cell.sim_p95 = std::max(0.0, sim.p95_sojourn - 1.0);
-        cell.sim_p99 = std::max(0.0, sim.p99_sojourn - 1.0);
+        cell.sim_p50 = std::max(0.0, sim.values[0] - 1.0);
+        cell.sim_p95 = std::max(0.0, sim.values[1] - 1.0);
+        cell.sim_p99 = std::max(0.0, sim.values[2] - 1.0);
         return cell;
       });
 

@@ -68,7 +68,6 @@ ScenarioOutput run(ScenarioContext& ctx) {
         "--penalty-kind must be 'latency' or 'capacity'");
 
   const double check_rho = ctx.cli().get_double("check-rho", 0.70);
-  const int n = racks * per;
   const std::vector<double> penalties{0.0, 0.25, 0.5, 1.0, 2.0};
   const std::size_t main_cells = penalties.size() * kMainTasks;
   // The d sweep runs d = 1..per at the middle penalty; its rows continue
@@ -80,99 +79,67 @@ ScenarioOutput run(ScenarioContext& ctx) {
   // sizes the truncation mass is negligible only up to moderate rho.
   const bool have_check = per <= 4;
   const std::size_t check_cell = main_cells + d_rows * kDTasks;
-  const std::size_t total_cells = check_cell + (have_check ? 1 : 0);
 
-  const auto topology_of = [&](double p) {
-    rlb::sim::Topology topo;
-    topo.racks = racks;
-    if (kind == "latency")
-      topo.cross_latency = p;
-    else
-      topo.cross_capacity = 1.0 / (1.0 + p);
-    return topo;
+  // One cell per (row, policy task) across the main table, the d sweep
+  // and the exact check. One seed per row shared across the policy
+  // columns (common random numbers), so `task` joins the seed alongside
+  // the full topology coordinates.
+  std::vector<rlb::engine::CellSpec> specs;
+  const auto add_cell = [&](std::size_t row, const char* table,
+                            double cell_rho, double penalty, int cell_d,
+                            std::size_t task) {
+    specs.push_back(rlb::engine::CellSpec()
+                        .set("seed", rlb::engine::cell_seed(seed, row))
+                        .set("racks", racks)
+                        .set("per_rack", per)
+                        .set("rho", cell_rho)
+                        .set("jobs", jobs)
+                        .set("penalty_kind", kind)
+                        .set("penalty", penalty)
+                        .set("d", cell_d)
+                        .set("table", table)
+                        .set("task", static_cast<std::uint64_t>(task)));
   };
-  const auto row_of = [&](std::size_t i) {
-    if (i >= check_cell) return penalties.size() + d_rows;
-    return i < main_cells ? i / kMainTasks
-                          : penalties.size() + (i - main_cells) / kDTasks;
-  };
+  for (std::size_t r = 0; r < penalties.size(); ++r)
+    for (std::size_t task = 0; task < kMainTasks; ++task)
+      add_cell(r, "main", rho, penalties[r], d, task);
+  for (std::size_t r = 0; r < d_rows; ++r)
+    for (std::size_t task = 0; task < kDTasks; ++task)
+      add_cell(penalties.size() + r, "d_sweep", rho, d_sweep_penalty,
+               static_cast<int>(r) + 1, task);
+  if (have_check)  // the no-spill rack-local policy at zero penalty
+    add_cell(penalties.size() + d_rows, "zero_penalty_check", check_rho, 0.0,
+             d, 2);
 
   // Cell values are {mean delay, p99 sojourn}.
   const auto cells = ctx.map_cells(
-      total_cells,
-      [&](std::size_t i) {
-        // One seed per row shared across the policy columns (common
-        // random numbers), so `task` must join the key alongside the
-        // full topology coordinates.
-        auto key = ctx.cell_key("rack_locality",
-                                rlb::engine::cell_seed(seed, row_of(i)));
-        const bool check = i >= check_cell;
-        const bool main = i < main_cells;
-        const std::size_t task = check ? 2
-                                 : main ? i % kMainTasks
-                                        : (i - main_cells) % kDTasks;
-        key.set("racks", racks);
-        key.set("per_rack", per);
-        key.set("rho", check ? check_rho : rho);
-        key.set("jobs", jobs);
-        key.set("penalty_kind", kind);
-        key.set("penalty", !check && main ? penalties[i / kMainTasks]
-                           : check       ? 0.0
-                                         : d_sweep_penalty);
-        key.set("d", check  ? d
-                    : main ? d
-                           : static_cast<int>((i - main_cells) / kDTasks) + 1);
-        key.set("table", check ? "zero_penalty_check"
-                        : main ? "main"
-                               : "d_sweep");
-        key.set("task", static_cast<std::uint64_t>(task));
-        return key;
-      },
-      [&](std::size_t i, const rlb::engine::CellRecord* refine_from) {
+      "rack_locality", specs,
+      [&](const rlb::engine::CellSpec& cell,
+          const rlb::engine::CellRecord* refine_from) {
         using namespace rlb::sim;
-        const bool check = i >= check_cell;
-        const bool main = i < main_cells;
-        const std::size_t task = check ? 2
-                                 : main ? i % kMainTasks
-                                        : (i - main_cells) % kDTasks;
-        const double penalty = check  ? 0.0
-                               : main ? penalties[i / kMainTasks]
-                                      : d_sweep_penalty;
-        const int cell_d =
-            check  ? d
-            : main ? d
-                   : static_cast<int>((i - main_cells) / kDTasks) + 1;
+        const int cell_racks = cell.get<int>("racks");
+        const double penalty = cell.get<double>("penalty");
         ClusterConfig cfg;
-        cfg.servers = n;
-        cfg.jobs = jobs;
-        cfg.warmup = jobs / 10;
-        cfg.seed = rlb::engine::cell_seed(seed, row_of(i));
+        cfg.servers = cell_racks * cell.get<int>("per_rack");
+        cfg.jobs = cell.get<std::uint64_t>("jobs");
+        cfg.warmup = cfg.jobs / 10;
+        cfg.seed = cell.get<std::uint64_t>("seed");
         cfg.replicas = ctx.replicas();
-        cfg.topology = topology_of(penalty);
-        const auto arr = make_exponential((check ? check_rho : rho) * n);
+        cfg.topology.racks = cell_racks;
+        if (cell.get<std::string>("penalty_kind") == "latency")
+          cfg.topology.cross_latency = penalty;
+        else
+          cfg.topology.cross_capacity = 1.0 / (1.0 + penalty);
+        const auto arr =
+            make_exponential(cell.get<double>("rho") * cfg.servers);
+        RenewalArrivals arrivals(*arr);
         const auto svc = make_exponential(1.0);
-        const auto policy = make_main_policy(n, racks, cell_d, task);
-        rlb::engine::CellRecord rec;
-        if (adaptive) {
-          const auto plan = ctx.adaptive_plan(cfg.seed, jobs);
-          ClusterRoundState state;
-          const ClusterResult res =
-              refine_from != nullptr
-                  ? simulate_cluster_refine(cfg, *policy, *arr, *svc, plan,
-                                            refine_from->round_state,
-                                            ctx.budget(), &state)
-                  : simulate_cluster_adaptive(cfg, *policy, *arr, *svc,
-                                              plan, ctx.budget(), &state);
-          rec.values = {res.mean_sojourn, res.p99_sojourn};
-          rec.report = res.adaptive;
-          rec.round_state = state;
-          rec.has_round_state = true;
-          return rec;
-        }
-        const ClusterResult res =
-            simulate_cluster(cfg, *policy, *arr, *svc, ctx.budget());
-        rec.values = {res.mean_sojourn, res.p99_sojourn};
-        return rec;
+        const auto policy =
+            make_main_policy(cfg.servers, cell_racks, cell.get<int>("d"),
+                             cell.get<std::uint64_t>("task"));
+        return rlb::engine::run_cluster_cell(
+            ctx, cfg, *policy, arrivals, *svc, refine_from,
+            {&ClusterResult::mean_sojourn, &ClusterResult::p99_sojourn});
       });
 
   ScenarioOutput out;

@@ -34,13 +34,9 @@ ScenarioOutput run(ScenarioContext& ctx) {
   using namespace rlb::sim;
   const std::vector<int> batch_sizes{1, 2, 4, 8};
 
-  struct CellResult {
-    double mean = 0.0;
-    double p99 = 0.0;
-    rlb::sim::AdaptiveReport report;
-  };
+  // Cell values: [0] mean sojourn, [1] p99 sojourn.
   const bool adaptive = ctx.adaptive().enabled();
-  const auto cells = ctx.map<CellResult>(
+  const auto cells = ctx.map<rlb::engine::CellRecord>(
       batch_sizes.size() * kKinds, [&](std::size_t i) {
         const std::size_t b = i / kKinds;
         const auto mean_batch = static_cast<double>(batch_sizes[b]);
@@ -62,15 +58,9 @@ ScenarioOutput run(ScenarioContext& ctx) {
             kind);
         const auto svc = make_exponential(1.0);
         SqdPolicy policy(n, d);
-        if (adaptive) {
-          const auto res = simulate_cluster_adaptive(
-              cfg, policy, arrivals, *svc, ctx.adaptive_plan(cfg.seed, jobs),
-              ctx.budget());
-          return CellResult{res.mean_sojourn, res.p99_sojourn, res.adaptive};
-        }
-        const auto res =
-            simulate_cluster(cfg, policy, arrivals, *svc, ctx.budget());
-        return CellResult{res.mean_sojourn, res.p99_sojourn, {}};
+        return rlb::engine::run_cluster_cell(
+            ctx, cfg, policy, arrivals, *svc, nullptr,
+            {&ClusterResult::mean_sojourn, &ClusterResult::p99_sojourn});
       });
 
   ScenarioOutput out;
@@ -88,8 +78,8 @@ ScenarioOutput run(ScenarioContext& ctx) {
     std::vector<std::string> row{std::to_string(batch_sizes[b])};
     auto report = rlb::sim::AdaptiveReport::row_identity();
     for (std::size_t k = 0; k < kKinds; ++k) {
-      row.push_back(rlb::util::fmt(cells[b * kKinds + k].mean, 4));
-      row.push_back(rlb::util::fmt(cells[b * kKinds + k].p99, 4));
+      row.push_back(rlb::util::fmt(cells[b * kKinds + k].values[0], 4));
+      row.push_back(rlb::util::fmt(cells[b * kKinds + k].values[1], 4));
       report.combine(cells[b * kKinds + k].report);
     }
     if (adaptive) rlb::engine::add_adaptive_cells(row, report);

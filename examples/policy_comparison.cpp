@@ -23,6 +23,23 @@ using rlb::engine::ScenarioOutput;
 
 constexpr std::size_t kPolicies = 5;  // random, sq(d), jbt, jiq, jsq
 
+std::unique_ptr<rlb::sim::Policy> make_policy(std::size_t task, int n, int d,
+                                              int jbt_t) {
+  using namespace rlb::sim;
+  switch (task) {
+    case 0:
+      return std::make_unique<SqdPolicy>(n, 1);
+    case 1:
+      return std::make_unique<SqdPolicy>(n, d);
+    case 2:
+      return std::make_unique<JbtPolicy>(n, d, jbt_t);
+    case 3:
+      return std::make_unique<JiqPolicy>(n);
+    default:
+      return std::make_unique<JsqPolicy>();
+  }
+}
+
 ScenarioOutput run(ScenarioContext& ctx) {
   const int n = static_cast<int>(ctx.cli().get_int("n", 16));
   const int d = static_cast<int>(ctx.cli().get_int("d", 2));
@@ -34,73 +51,43 @@ ScenarioOutput run(ScenarioContext& ctx) {
 
   using namespace rlb::sim;
   const std::vector<double> rhos{0.50, 0.70, 0.80, 0.90, 0.95};
-  const auto make_policy = [&](std::size_t task) -> std::unique_ptr<Policy> {
-    switch (task) {
-      case 0:
-        return std::make_unique<SqdPolicy>(n, 1);
-      case 1:
-        return std::make_unique<SqdPolicy>(n, d);
-      case 2:
-        return std::make_unique<JbtPolicy>(n, d, jbt_t);
-      case 3:
-        return std::make_unique<JiqPolicy>(n);
-      default:
-        return std::make_unique<JsqPolicy>();
-    }
-  };
+  // One cell per (rho, policy). One seed per rho row: policy columns
+  // share random streams (common random numbers), isolating the policy
+  // effect, so the policy task joins the seed as a coordinate.
+  std::vector<rlb::engine::CellSpec> specs;
+  for (std::size_t r = 0; r < rhos.size(); ++r)
+    for (std::size_t task = 0; task < kPolicies; ++task)
+      specs.push_back(rlb::engine::CellSpec()
+                          .set("seed", rlb::engine::cell_seed(seed, r))
+                          .set("n", n)
+                          .set("d", d)
+                          .set("jbt-t", jbt_t)
+                          .set("jobs", jobs)
+                          .set("rho", rhos[r])
+                          .set("task", static_cast<std::uint64_t>(task)));
 
   // Cell values: [0] mean sojourn, [1] p99 sojourn.
   const bool adaptive = ctx.adaptive().enabled();
   const auto cells = ctx.map_cells(
-      rhos.size() * kPolicies,
-      [&](std::size_t i) {
-        // Row seed is shared across policy columns (common random
-        // numbers), so the policy task index joins it in the key.
-        auto key = ctx.cell_key(
-            "policy_comparison",
-            rlb::engine::cell_seed(seed, i / kPolicies));
-        key.set("n", n);
-        key.set("d", d);
-        key.set("jbt-t", jbt_t);
-        key.set("jobs", jobs);
-        key.set("rho", rhos[i / kPolicies]);
-        key.set("task", static_cast<std::uint64_t>(i % kPolicies));
-        return key;
-      },
-      [&](std::size_t i, const rlb::engine::CellRecord* refine_from) {
-        const std::size_t r = i / kPolicies;
+      "policy_comparison", specs,
+      [&](const rlb::engine::CellSpec& cell,
+          const rlb::engine::CellRecord* refine_from) {
         ClusterConfig cfg;
-        cfg.servers = n;
-        cfg.jobs = jobs;
-        cfg.warmup = jobs / 10;
-        // One seed per rho row: policy columns share random streams
-        // (common random numbers), isolating the policy effect.
-        cfg.seed = rlb::engine::cell_seed(seed, r);
+        cfg.servers = cell.get<int>("n");
+        cfg.jobs = cell.get<std::uint64_t>("jobs");
+        cfg.warmup = cfg.jobs / 10;
+        cfg.seed = cell.get<std::uint64_t>("seed");
         cfg.replicas = ctx.replicas();
-        const auto arr = make_exponential(rhos[r] * n);
+        const auto arr =
+            make_exponential(cell.get<double>("rho") * cfg.servers);
+        RenewalArrivals arrivals(*arr);
         const auto svc = make_exponential(1.0);
-        const auto policy = make_policy(i % kPolicies);
-        rlb::engine::CellRecord rec;
-        if (adaptive) {
-          const auto plan = ctx.adaptive_plan(cfg.seed, jobs);
-          ClusterRoundState state;
-          const ClusterResult res =
-              refine_from != nullptr
-                  ? simulate_cluster_refine(cfg, *policy, *arr, *svc, plan,
-                                            refine_from->round_state,
-                                            ctx.budget(), &state)
-                  : simulate_cluster_adaptive(cfg, *policy, *arr, *svc,
-                                              plan, ctx.budget(), &state);
-          rec.values = {res.mean_sojourn, res.p99_sojourn};
-          rec.report = res.adaptive;
-          rec.round_state = state;
-          rec.has_round_state = true;
-          return rec;
-        }
-        const auto res =
-            simulate_cluster(cfg, *policy, *arr, *svc, ctx.budget());
-        rec.values = {res.mean_sojourn, res.p99_sojourn};
-        return rec;
+        const auto policy = make_policy(
+            cell.get<std::uint64_t>("task"), cfg.servers,
+            cell.get<int>("d"), cell.get<int>("jbt-t"));
+        return rlb::engine::run_cluster_cell(
+            ctx, cfg, *policy, arrivals, *svc, refine_from,
+            {&ClusterResult::mean_sojourn, &ClusterResult::p99_sojourn});
       });
 
   ScenarioOutput out;

@@ -1,6 +1,7 @@
 #include "engine/scenario.h"
 
 #include <algorithm>
+#include <set>
 
 namespace rlb::engine {
 
@@ -66,10 +67,32 @@ sim::AdaptivePlan ScenarioContext::adaptive_plan(
   return plan;
 }
 
+CellSpec& CellSpec::set(const std::string& name, Value value) {
+  for (auto& [existing, v] : coords_) {
+    if (existing == name) {
+      v = std::move(value);
+      return *this;
+    }
+  }
+  coords_.emplace_back(name, std::move(value));
+  return *this;
+}
+
+const CellSpec::Value& CellSpec::find(const std::string& name) const {
+  for (const auto& [existing, v] : coords_)
+    if (existing == name) return v;
+  throw std::logic_error("cell has no coordinate '" + name + "'");
+}
+
+void CellSpec::add_to(CacheKey& key) const {
+  for (const auto& [name, value] : coords_)
+    std::visit([&key, &name = name](const auto& v) { key.set(name, v); },
+               value);
+}
+
 CacheKey ScenarioContext::cell_key(const std::string& scenario,
-                                   std::uint64_t seed) const {
+                                   const CellSpec& cell) const {
   CacheKey key(scenario);
-  key.set("seed", seed);
   key.set("replicas", replicas_);
   key.set("adaptive", adaptive_.enabled());
   if (adaptive_.enabled()) {
@@ -92,48 +115,80 @@ CacheKey ScenarioContext::cell_key(const std::string& scenario,
                                : std::string("derived"));
     key.set("warmup-fraction", adaptive_.warmup_fraction);
   }
+  cell.add_to(key);
   return key;
 }
 
 std::vector<CellRecord> ScenarioContext::map_cells(
-    std::size_t count, const CellKeyFn& key_of,
-    const CellComputeFn& compute) const {
-  const double target = adaptive_.target_ci;
-  if (cache_ == nullptr) {
-    return parallel_map<CellRecord>(count, budget_, [&](std::size_t i) {
-      CellRecord record = compute(i, nullptr);
-      record.target_ci = target;
-      return record;
-    });
-  }
-  // Serial lookup pre-pass: the cache does unsynchronized IO and
-  // counter updates, so all of it stays outside the parallel region.
+    const std::string& scenario, const std::vector<CellSpec>& cells,
+    const std::function<CellRecord(const CellSpec&, const CellRecord*)>&
+        compute) const {
+  using Outcome = ResultCache::Lookup::Outcome;
+  // Keys are derived even for an uncached run, so the duplicate guard
+  // checks every sweep. Lookups and stores run serially: the cache does
+  // unsynchronized IO and counter updates, so all of it stays outside
+  // the parallel region.
   std::vector<CacheKey> keys;
-  keys.reserve(count);
-  std::vector<ResultCache::Lookup> lookups;
-  lookups.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    keys.push_back(key_of(i));
-    lookups.push_back(cache_->lookup(keys.back(), target, refine_));
+  keys.reserve(cells.size());
+  std::set<std::string> canonical;
+  for (const CellSpec& cell : cells) {
+    keys.push_back(cell_key(scenario, cell));
+    if (!canonical.insert(keys.back().canonical()).second)
+      throw std::logic_error("scenario '" + scenario +
+                             "' declares two cells with the cache key '" +
+                             keys.back().canonical() + "'");
   }
+  const double target = adaptive_.target_ci;
+  std::vector<ResultCache::Lookup> lookups(cells.size());  // all kMiss
+  if (cache_ != nullptr)
+    for (std::size_t i = 0; i < cells.size(); ++i)
+      lookups[i] = cache_->lookup(keys[i], target, refine_);
   std::vector<CellRecord> results =
-      parallel_map<CellRecord>(count, budget_, [&](std::size_t i) {
+      parallel_map<CellRecord>(cells.size(), budget_, [&](std::size_t i) {
         const ResultCache::Lookup& l = lookups[i];
-        if (l.outcome == ResultCache::Lookup::Outcome::kHit)
-          return l.record;
+        if (l.outcome == Outcome::kHit) return l.record;
         CellRecord record = compute(
-            i, l.outcome == ResultCache::Lookup::Outcome::kRefine
-                   ? &l.record
-                   : nullptr);
+            cells[i], l.outcome == Outcome::kRefine ? &l.record : nullptr);
         record.target_ci = target;
         return record;
       });
-  // Serial store pass: hits are already on disk; everything computed
-  // (misses and refinements) persists at the now-satisfied target.
-  for (std::size_t i = 0; i < count; ++i)
-    if (lookups[i].outcome != ResultCache::Lookup::Outcome::kHit)
-      cache_->store(keys[i], results[i]);
+  // Hits are already on disk; everything computed (misses and
+  // refinements) persists at the now-satisfied target.
+  if (cache_ != nullptr)
+    for (std::size_t i = 0; i < cells.size(); ++i)
+      if (lookups[i].outcome != Outcome::kHit)
+        cache_->store(keys[i], results[i]);
   return results;
+}
+
+CellRecord run_cluster_cell(const ScenarioContext& ctx,
+                            const sim::ClusterConfig& cfg,
+                            sim::Policy& policy,
+                            sim::ArrivalProcess& arrivals,
+                            const sim::Distribution& service,
+                            const CellRecord* refine_from,
+                            const ClusterColumns& columns) {
+  CellRecord record;
+  sim::ClusterResult result;
+  if (ctx.adaptive().enabled()) {
+    const sim::AdaptivePlan plan = ctx.adaptive_plan(cfg.seed, cfg.jobs);
+    result = refine_from != nullptr
+                 ? sim::simulate_cluster_refine(
+                       cfg, policy, arrivals, service, plan,
+                       refine_from->round_state, ctx.budget(),
+                       &record.round_state)
+                 : sim::simulate_cluster_adaptive(cfg, policy, arrivals,
+                                                  service, plan,
+                                                  ctx.budget(),
+                                                  &record.round_state);
+    record.report = result.adaptive;
+    record.has_round_state = true;
+  } else {
+    result = sim::simulate_cluster(cfg, policy, arrivals, service,
+                                   ctx.budget());
+  }
+  for (const auto column : columns) record.values.push_back(result.*column);
+  return record;
 }
 
 ScenarioRegistry& ScenarioRegistry::global() {

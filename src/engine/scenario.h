@@ -4,16 +4,34 @@
 // fanning sweep cells across worker threads — and feeds the result to the
 // text/CSV/JSON sinks.
 //
-// Authoring a scenario is ~30 lines in one translation unit:
+// Authoring a scenario is ~30 lines in one translation unit. A cacheable
+// cluster sweep declares one CellSpec per cell, and the same CellSpec
+// yields both the cache key and the compute's inputs:
 //
 //   namespace {
 //   rlb::engine::ScenarioOutput run(rlb::engine::ScenarioContext& ctx) {
 //     const int n = static_cast<int>(ctx.cli().get_int("n", 10));
+//     const std::vector<double> rhos{0.5, 0.9};
+//     std::vector<rlb::engine::CellSpec> specs;
+//     for (std::size_t r = 0; r < rhos.size(); ++r)
+//       specs.push_back(rlb::engine::CellSpec()
+//                           .set("seed", rlb::engine::cell_seed(7, r))
+//                           .set("n", n)
+//                           .set("rho", rhos[r]));
+//     const auto cells = ctx.map_cells(
+//         "my_scenario", specs,
+//         [&](const rlb::engine::CellSpec& cell,
+//             const rlb::engine::CellRecord* refine_from) {
+//           rlb::sim::ClusterConfig cfg;  // servers, jobs, seed from cell
+//           ...
+//           return rlb::engine::run_cluster_cell(
+//               ctx, cfg, policy, arrivals, *service, refine_from,
+//               {&rlb::sim::ClusterResult::mean_sojourn});
+//         });
 //     rlb::engine::ScenarioOutput out;
 //     auto& table = out.add_table("main", {"rho", "delay"});
-//     const auto rows = ctx.map<std::vector<double>>(
-//         cells.size(), [&](std::size_t i) { /* run cell i */ });
-//     for (const auto& r : rows) table.add_row_numeric(r);
+//     for (std::size_t r = 0; r < rhos.size(); ++r)
+//       table.add_row_numeric({rhos[r], cells[r].values[0]});
 //     return out;
 //   }
 //   const rlb::engine::ScenarioRegistrar reg{{
@@ -22,6 +40,8 @@
 //       {{"n", "number of servers", "10"}},
 //       run}};
 //   }  // namespace
+//
+// Uncached scenarios use ctx.map(count, fn) over plain indices instead.
 //
 // Cells must derive all randomness from fixed per-cell seeds (see
 // engine/sweep.h) so the thread count never changes the output.
@@ -33,11 +53,13 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "engine/result_cache.h"
 #include "engine/sink.h"
 #include "engine/sweep.h"
+#include "sim/cluster_sim.h"
 #include "sim/replica.h"
 #include "util/cli.h"
 
@@ -80,6 +102,40 @@ struct AdaptiveSpec {
   /// known, so util::Cli::finish() accepts them). Throws
   /// std::invalid_argument on malformed values.
   static AdaptiveSpec parse(const util::Cli& cli);
+};
+
+/// One sweep cell declared as data: its named coordinates, typed as the
+/// scenario set them. ScenarioContext::map_cells derives the cell's
+/// CacheKey from exactly these coordinates (each rendered by the
+/// matching CacheKey::set overload) and hands the same object to the
+/// compute, so a coordinate the compute reads is a coordinate the key
+/// carries. Coordinates the compute ignores (a table name) are fine:
+/// they only make keys more distinct.
+class CellSpec {
+ public:
+  using Value = std::variant<int, std::uint64_t, double, std::string>;
+
+  /// Adds a coordinate, replacing an earlier one of the same name.
+  CellSpec& set(const std::string& name, Value value);
+
+  /// The coordinate's value; throws std::logic_error when `name` is
+  /// absent or was set with another type.
+  template <typename T>
+  [[nodiscard]] const T& get(const std::string& name) const {
+    const T* value = std::get_if<T>(&find(name));
+    if (value == nullptr)
+      throw std::logic_error("cell coordinate '" + name +
+                             "' was set with another type");
+    return *value;
+  }
+
+  /// Sets every coordinate on `key`.
+  void add_to(CacheKey& key) const;
+
+ private:
+  [[nodiscard]] const Value& find(const std::string& name) const;
+
+  std::vector<std::pair<std::string, Value>> coords_;
 };
 
 /// Handed to the scenario's run function: its CLI parameters, the
@@ -147,32 +203,32 @@ class ScenarioContext {
   /// looser-target record's round state instead of recomputing.
   [[nodiscard]] bool refine() const { return refine_; }
 
-  /// A CacheKey pre-filled with the run-level coordinates every cell
-  /// shares — replicas and the --target-ci family EXCEPT target-ci
-  /// itself (stored in the record instead, so --refine can find
-  /// looser-target entries; docs/CACHING.md). The scenario adds its own
-  /// parameters (and the cell seed) on top.
-  [[nodiscard]] CacheKey cell_key(const std::string& scenario,
-                                  std::uint64_t seed) const;
-
-  using CellKeyFn = std::function<CacheKey(std::size_t)>;
-  /// Computes cell `i` from scratch (refine_from == nullptr) or by
-  /// resuming the given looser-target record's round state. The returned
-  /// record's target_ci is stamped by map_cells.
-  using CellComputeFn =
-      std::function<CellRecord(std::size_t, const CellRecord* refine_from)>;
-
-  /// The cache-aware sweep: results[i] comes from the cache when its
-  /// record satisfies the current precision target, from a round-state
-  /// resumption when --refine allows it, and from `compute` otherwise —
-  /// computed on the same worker budget as map(), with lookups and
-  /// stores serial around the parallel region, so the table stays
-  /// invariant under the thread count AND under cache warmth.
-  std::vector<CellRecord> map_cells(std::size_t count,
-                                    const CellKeyFn& key_of,
-                                    const CellComputeFn& compute) const;
+  /// The cache-aware sweep over a declared cell list: results[i] is
+  /// compute(cells[i], refine_from). Each cell's CacheKey is derived
+  /// from cells[i] itself plus the run-level coordinates (see cell_key),
+  /// so the key and the compute read the same object. A cell comes from
+  /// the cache when its record satisfies the current precision target,
+  /// from a round-state resumption (refine_from != nullptr) when
+  /// --refine allows it, and from scratch otherwise — computed on the
+  /// same worker budget as map(), with lookups and stores serial around
+  /// the parallel region, so the table stays invariant under the thread
+  /// count AND under cache warmth. The returned records' target_ci is
+  /// stamped here. Throws std::logic_error when two cells derive the
+  /// same key (a coordinate that varies within the sweep is missing),
+  /// cached or not.
+  std::vector<CellRecord> map_cells(
+      const std::string& scenario, const std::vector<CellSpec>& cells,
+      const std::function<CellRecord(const CellSpec&, const CellRecord*)>&
+          compute) const;
 
  private:
+  /// `cell`'s coordinates on top of the run-level ones every cell shares:
+  /// replicas and the --target-ci family EXCEPT target-ci itself (stored
+  /// in the record instead, so --refine can find looser-target entries;
+  /// docs/CACHING.md).
+  [[nodiscard]] CacheKey cell_key(const std::string& scenario,
+                                  const CellSpec& cell) const;
+
   const util::Cli& cli_;
   int threads_;
   int replicas_;
@@ -183,6 +239,24 @@ class ScenarioContext {
   // internally synchronized.
   mutable util::ThreadBudget budget_;
 };
+
+/// The statistics of a sim::ClusterResult a cluster cell records, in
+/// CellRecord::values order.
+using ClusterColumns = std::vector<double sim::ClusterResult::*>;
+
+/// One cluster-DES cell as every scenario runs it: the fixed budget
+/// cfg.jobs, or under --target-ci an adaptive run planned by
+/// ctx.adaptive_plan(cfg.seed, cfg.jobs) that checkpoints its round state
+/// — resumed from `refine_from`'s checkpoint when map_cells hands one
+/// over (pass nullptr outside map_cells). values[k] is the result's
+/// columns[k]; the adaptive report rides in the record.
+CellRecord run_cluster_cell(const ScenarioContext& ctx,
+                            const sim::ClusterConfig& cfg,
+                            sim::Policy& policy,
+                            sim::ArrivalProcess& arrivals,
+                            const sim::Distribution& service,
+                            const CellRecord* refine_from,
+                            const ClusterColumns& columns);
 
 struct Scenario {
   std::string name;         ///< registry key, e.g. "power_of_d"

@@ -19,7 +19,10 @@
 
 namespace {
 
+using rlb::engine::CacheKey;
 using rlb::engine::cell_seed;
+using rlb::engine::CellRecord;
+using rlb::engine::CellSpec;
 using rlb::engine::parallel_map;
 using rlb::engine::Scenario;
 using rlb::engine::ScenarioContext;
@@ -208,6 +211,79 @@ TEST(Sweep, ContextCarriesReplicaCountAndBudget) {
   EXPECT_EQ(ctx.budget().total(), 4);
   ScenarioContext defaulted(cli, 2);
   EXPECT_EQ(defaulted.replicas(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Cells as data: CellSpec + map_cells
+// ---------------------------------------------------------------------------
+
+TEST(CellSpec, GetReturnsTheTypedCoordinateAndRejectsMismatches) {
+  const CellSpec cell = CellSpec()
+                            .set("n", 10)
+                            .set("jobs", std::uint64_t{2000})
+                            .set("rho", 0.5)
+                            .set("table", "main")
+                            .set("rho", 0.7);  // a repeated name replaces
+  EXPECT_EQ(cell.get<int>("n"), 10);
+  EXPECT_EQ(cell.get<std::uint64_t>("jobs"), 2000u);
+  EXPECT_EQ(cell.get<double>("rho"), 0.7);
+  EXPECT_EQ(cell.get<std::string>("table"), "main");
+  EXPECT_THROW((void)cell.get<double>("n"), std::logic_error);
+  EXPECT_THROW((void)cell.get<int>("missing"), std::logic_error);
+
+  CacheKey key("s");
+  cell.add_to(key);
+  EXPECT_EQ(key.canonical(),
+            "s|jobs=2000|n=10|rho=0.69999999999999996|table=main");
+}
+
+TEST(MapCells, ComputeReadsTheCellItsKeyCameFrom) {
+  char prog[] = "test";
+  char* argv[] = {prog};
+  const rlb::util::Cli cli(1, argv);
+  ScenarioContext ctx(cli, 4);
+  std::vector<CellSpec> cells;
+  for (int i = 0; i < 6; ++i) cells.push_back(CellSpec().set("i", i));
+  const auto records = ctx.map_cells(
+      "square", cells, [](const CellSpec& cell, const CellRecord* refine) {
+        EXPECT_EQ(refine, nullptr);
+        CellRecord record;
+        const int i = cell.get<int>("i");
+        record.values = {static_cast<double>(i * i)};
+        return record;
+      });
+  ASSERT_EQ(records.size(), cells.size());
+  for (int i = 0; i < 6; ++i)
+    EXPECT_EQ(records[i].values.front(), static_cast<double>(i * i));
+}
+
+TEST(MapCells, CellsDerivingOneKeyAreRejectedEvenUncached) {
+  // A coordinate that varies within a sweep but never reaches the key
+  // would make two cells share one cache record. Cells 0 and 2 stand for
+  // such a pair: whatever told them apart was never declared.
+  char prog[] = "test";
+  char* argv[] = {prog};
+  const rlb::util::Cli cli(1, argv);
+  ScenarioContext ctx(cli, 2);
+  const std::vector<CellSpec> cells{CellSpec().set("rho", 0.5),
+                                    CellSpec().set("rho", 0.7),
+                                    CellSpec().set("rho", 0.5)};
+  bool computed = false;
+  try {
+    (void)ctx.map_cells("collide", cells,
+                        [&computed](const CellSpec&, const CellRecord*) {
+                          computed = true;
+                          return CellRecord{};
+                        });
+    FAIL() << "colliding cell keys were accepted";
+  } catch (const std::logic_error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("'collide'"), std::string::npos) << message;
+    EXPECT_NE(message.find("'collide|adaptive=0|replicas=1|rho=0.5'"),
+              std::string::npos)
+        << message;
+  }
+  EXPECT_FALSE(computed) << "the guard must run before any cell computes";
 }
 
 // ---------------------------------------------------------------------------

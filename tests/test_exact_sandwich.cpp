@@ -2,6 +2,7 @@
 // solutions of the ORIGINAL SQ(d) process: lower bound <= exact <= upper
 // bound, with a remarkably tight lower bound.
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -21,10 +22,20 @@ using rlb::sqd::Params;
 // holding the truncation mass far below the bound gaps at the loads used.
 int cap_for(int n) { return n == 2 ? 70 : (n == 3 ? 36 : 26); }
 
+// GoogleTest names each instance after the raw bytes of its parameter,
+// padding included. The padding after `t` is therefore spelled out as
+// `name_bytes`: left indeterminate, it made the test names depend on
+// whatever the stack held at registration. Its values are the bytes the
+// names were first registered under, so those names stay stable.
 struct Case {
+  Case(int n, int d, int t, double rho, std::uint32_t name_bytes = 0)
+      : n(n), d(d), t(t), name_bytes(name_bytes), rho(rho) {}
   int n, d, t;
+  std::uint32_t name_bytes;
   double rho;
 };
+static_assert(sizeof(Case) == 4 * sizeof(int) + sizeof(double),
+              "Case must have no padding bytes");
 
 class SandwichTest : public ::testing::TestWithParam<Case> {};
 
@@ -57,8 +68,8 @@ TEST_P(SandwichTest, LowerExactUpperOrdering) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, SandwichTest,
-    ::testing::Values(Case{2, 2, 1, 0.3}, Case{2, 2, 1, 0.6},
-                      Case{2, 2, 2, 0.6}, Case{2, 2, 2, 0.8},
+    ::testing::Values(Case{2, 2, 1, 0.3}, Case{2, 2, 1, 0.6, 0x6574},
+                      Case{2, 2, 2, 0.6, 0x30}, Case{2, 2, 2, 0.8},
                       Case{2, 2, 3, 0.9}, Case{3, 2, 1, 0.5},
                       Case{3, 2, 2, 0.3}, Case{3, 2, 2, 0.6},
                       Case{3, 2, 2, 0.75}, Case{3, 2, 3, 0.8},

@@ -319,6 +319,65 @@ TEST_F(ScenarioCache, RackLocalityKeysCellsOnTopologyCoordinates) {
       << "rack geometry missing from the cell key";
 }
 
+TEST_F(ScenarioCache, PolicyComparisonKeysCellsOnPolicyParameters) {
+  // The policy knobs (--d, --jbt-t) are part of every cell key: a warm
+  // re-run with identical flags is all hits and byte-identical, while
+  // flipping either knob shares nothing.
+  const std::vector<std::string> args{"--jobs=6000"};
+  auto cold_cache = make_cache();
+  const std::string cold =
+      run_to_json("policy_comparison", args, 4, 1, &cold_cache);
+  EXPECT_EQ(cold_cache.hits(), 0u);
+  EXPECT_GT(cold_cache.stored(), 0u);
+
+  auto warm_cache = make_cache();
+  const std::string warm =
+      run_to_json("policy_comparison", args, 1, 1, &warm_cache);
+  EXPECT_EQ(warm, cold) << "warm re-run drifted";
+  EXPECT_EQ(warm_cache.misses(), 0u);
+  EXPECT_EQ(warm_cache.hits(), cold_cache.stored());
+
+  for (const char* flip : {"--d=3", "--jbt-t=2"}) {
+    auto flipped_cache = make_cache();
+    (void)run_to_json("policy_comparison", {"--jobs=6000", flip}, 2, 1,
+                      &flipped_cache);
+    EXPECT_EQ(flipped_cache.hits(), 0u) << flip << " missing from the key";
+  }
+}
+
+TEST_F(ScenarioCache, GoldenPowerOfDRecordPinsTheVersionStamp) {
+  // One small cell pinned end to end: the key the scenario derives, the
+  // value it stores and the engine-version stamp it stores it under. A
+  // change that moves the value without moving kResultCacheVersion would
+  // let stale records resurrect the old numbers.
+  constexpr const char* kPinnedVersion = "rlb-cache-v1";
+  constexpr const char* kPinnedKey =
+      "power_of_d|adaptive=0|jobs=2000|n=10|replicas=1|rho=0.5|"
+      "seed=2377346752002162008|task=1";
+  constexpr double kPinnedValue = 1.2738767969671043;  // sq(2) delay
+
+  auto cache = make_cache();
+  (void)run_to_json("power_of_d", {"--jobs=2000"}, 2, 1, &cache);
+  rlb::engine::CacheKey key("power_of_d");
+  key.set("adaptive", false);
+  key.set("jobs", std::uint64_t{2000});
+  key.set("n", 10);
+  key.set("replicas", 1);
+  key.set("rho", 0.5);
+  key.set("seed", rlb::engine::cell_seed(777, 0));
+  key.set("task", std::uint64_t{1});
+  ASSERT_EQ(key.canonical(), kPinnedKey);
+
+  ASSERT_EQ(std::string(rlb::engine::kResultCacheVersion), kPinnedVersion)
+      << "kResultCacheVersion moved: update the pin (key, value, stamp)";
+  auto reader = make_cache();
+  const auto lookup = reader.lookup(key, 0.0, false);
+  ASSERT_EQ(lookup.outcome, rlb::engine::ResultCache::Lookup::Outcome::kHit)
+      << "power_of_d no longer derives the pinned key";
+  EXPECT_EQ(lookup.record.values.front(), kPinnedValue)
+      << "output changed: bump kResultCacheVersion";
+}
+
 TEST_F(ScenarioCache, AdaptiveRunsHitUnderBothPlanners) {
   // Adaptive cells key on the planner and stopping knobs; both planners
   // must round-trip through the cache byte-identically.
