@@ -1,7 +1,7 @@
 // Experiment E12 — microbenchmarks (google-benchmark) for the numerical
 // kernels and simulators: LU solve, the row-update kernel behind matrix
 // products and multi-RHS solves, logarithmic reduction, QBD boundary
-// solve, fast simulator throughput, and the cluster-DES hot paths —
+// solve, GTH on the exact chain, fast simulator throughput, and the cluster-DES hot paths —
 // the engine's event loop, calendar queue vs binary heap,
 // histogram-directory sampling, and replica-stats merging. CI runs this
 // binary with --benchmark_format=json and uploads the result as the
@@ -10,11 +10,13 @@
 // shapes, not absolutes).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <queue>
 #include <utility>
 #include <vector>
 
 #include "linalg/lu.h"
+#include "markov/gth.h"
 #include "qbd/logred.h"
 #include "qbd/solver.h"
 #include "sim/calendar_queue.h"
@@ -25,6 +27,7 @@
 #include "sim/rng.h"
 #include "sqd/blocks_builder.h"
 #include "sqd/bound_solver.h"
+#include "sqd/exact_reference.h"
 
 namespace {
 
@@ -128,6 +131,38 @@ void BM_ImprovedBoundSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ImprovedBoundSolve)->Arg(3)->Arg(6);
+
+/// The Thm 3 lower bound's boundary solve, qbd::solve_scalar, on the
+/// (N, T) = (N, 3) lower model at rho = 0.7: assembling and factoring the
+/// boundary system (1426 unknowns at N = 12, Fig. 10(d)). The argument
+/// is N.
+void BM_BoundarySolve(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const rlb::sqd::BoundModel model(rlb::sqd::Params{n, 2, 0.7, 1.0}, 3,
+                                   rlb::sqd::BoundKind::Lower);
+  const auto q = rlb::sqd::build_bound_qbd(model);
+  const double rate = std::pow(0.7, n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rlb::qbd::solve_scalar(q.blocks, rate));
+  }
+  state.SetLabel("unknowns=" + std::to_string(q.blocks.boundary_size() +
+                                              2 * q.blocks.block_size()));
+}
+BENCHMARK(BM_BoundarySolve)->Arg(12)->Unit(benchmark::kMillisecond);
+
+/// GTH on the exact truncated SQ(2) chain at rho = 0.7 and total cap 36
+/// (1093 states at N = 3), the solve behind solve_exact_truncated. The
+/// chain is built once, outside the loop. The argument is N.
+void BM_ExactGth(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const auto chain =
+      rlb::sqd::exact_truncated_chain(rlb::sqd::Params{n, 2, 0.7, 1.0}, 36);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rlb::markov::stationary_gth(chain.generator));
+  }
+  state.SetLabel("states=" + std::to_string(chain.size()));
+}
+BENCHMARK(BM_ExactGth)->Arg(3)->Unit(benchmark::kMillisecond);
 
 void BM_FastSimulatorThroughput(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

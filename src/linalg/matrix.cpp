@@ -1,6 +1,9 @@
 #include "linalg/matrix.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <iomanip>
 #include <ostream>
 
@@ -43,6 +46,64 @@ void add_scaled_rows(double* dst, const double* coef,
     add_four_rows(dst, rows[r], rows[r + 1], rows[r + 2], rows[r + 3],
                   coef[r], coef[r + 1], coef[r + 2], coef[r + 3], m);
   for (; r < k; ++r) add_one_row(dst, rows[r], coef[r], m);
+}
+
+std::vector<std::size_t> nonzero_columns(const Matrix& m) {
+  // Flag each column whose entries' bit patterns, ORed four rows at a time
+  // with the sign bit shifted out, leave a mark: only a nonzero entry does
+  // (and the loop vectorises). Then compact the flagged indices in place.
+  const std::size_t w = m.cols();
+  const double* d = m.data().data();
+  const auto bits = [](double v) {
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  };
+  std::vector<std::size_t> cols(w, 0);
+  std::size_t i = 0;
+  for (; i + 4 <= m.rows(); i += 4) {
+    const double* r = d + i * w;
+    for (std::size_t j = 0; j < w; ++j)
+      cols[j] |= ((bits(r[j]) | bits(r[w + j]) | bits(r[2 * w + j]) |
+                   bits(r[3 * w + j]))
+                  << 1) != 0;
+  }
+  for (; i < m.rows(); ++i)
+    for (std::size_t j = 0; j < w; ++j)
+      cols[j] |= (bits(d[i * w + j]) << 1) != 0;
+  std::size_t nz = 0;
+  for (std::size_t j = 0; j < w; ++j)
+    if (cols[j] != 0) cols[nz++] = j;
+  cols.resize(nz);
+  return cols;
+}
+
+void gather_columns(double* dst, const double* src,
+                    const std::vector<std::size_t>& cols, std::size_t width) {
+  if (cols.size() == width) {
+    std::copy_n(src, width, dst);
+    return;
+  }
+  for (std::size_t c = 0; c < cols.size(); ++c) dst[c] = src[cols[c]];
+}
+
+void unpack_columns(Matrix& x, const std::vector<std::size_t>& cols) {
+  const std::size_t w = x.cols();
+  const std::size_t m = cols.size();
+  if (m == w || x.rows() == 0) return;
+  double* d = &x(0, 0);
+  // Rows descend, so full row i never covers an unread packed row: packed
+  // rows above i end at i·m <= i·w. Row i is copied out before its full
+  // row is written, and only the part of that row inside the packed front
+  // needs zeros.
+  const std::size_t front = x.rows() * m;
+  std::vector<double> row(m);
+  for (std::size_t i = x.rows(); i-- > 0;) {
+    std::copy_n(d + i * m, m, row.data());
+    double* full = d + i * w;
+    if (i * w < front) std::fill_n(full, std::min(w, front - i * w), 0.0);
+    for (std::size_t c = 0; c < m; ++c) full[cols[c]] = row[c];
+  }
 }
 
 }  // namespace detail
@@ -111,7 +172,23 @@ Matrix operator*(double s, Matrix rhs) { return rhs *= s; }
 Matrix operator*(const Matrix& a, const Matrix& b) {
   RLB_REQUIRE(a.cols() == b.rows(), "matmul shape mismatch");
   Matrix c(a.rows(), b.cols(), 0.0);
-  if (c.empty()) return c;
+  // Only b's nonzero columns take part: the kernel runs on them packed
+  // side by side, into the front of c's storage, and unpack_columns moves
+  // each result to its column. c stays 0.0 under b's zero columns.
+  const std::vector<std::size_t> cols = detail::nonzero_columns(b);
+  if (c.empty() || cols.empty()) return c;
+  const std::size_t m = cols.size();
+  // b's rows cut down to those columns, when b has zero columns.
+  const double* bp = b.data().data();
+  std::vector<double> packed;
+  if (m < b.cols()) {
+    packed.resize(b.rows() * m);
+    for (std::size_t k = 0; k < b.rows(); ++k)
+      detail::gather_columns(packed.data() + k * m, bp + k * b.cols(), cols,
+                             b.cols());
+    bp = packed.data();
+  }
+  double* out = &c(0, 0);
   std::vector<double> coef(a.cols());
   std::vector<const double*> rows(a.cols());
   for (std::size_t i = 0; i < a.rows(); ++i) {
@@ -120,11 +197,11 @@ Matrix operator*(const Matrix& a, const Matrix& b) {
       const double aik = a(i, k);
       if (aik == 0.0) continue;
       coef[nz] = aik;
-      rows[nz++] = b.data().data() + k * b.cols();
+      rows[nz++] = bp + k * m;
     }
-    detail::add_scaled_rows(&c(i, 0), coef.data(), rows.data(), nz,
-                            b.cols());
+    detail::add_scaled_rows(out + i * m, coef.data(), rows.data(), nz, m);
   }
+  detail::unpack_columns(c, cols);
   return c;
 }
 

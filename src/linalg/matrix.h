@@ -5,6 +5,15 @@
 // through one row-update kernel, detail::add_scaled_rows, which is
 // vectorised over columns and keeps each entry's floating-point operations
 // in the order of the plain scalar loops.
+//
+// The QBD blocks these loops see are mostly zeros, so each loop also skips
+// operand regions that are provably zero: zero multipliers, zero columns of
+// a right operand, and (in lu.h and markov/gth.h) the zero regions of the
+// matrix being factored. Skipping only drops updates of the form
+// v + a·0, so the results are bit-identical to the dense scalar loops in
+// tests/linalg_reference.h in this sense: every nonzero entry is equal,
+// and only the sign of an exact zero may differ. That holds for finite
+// operands: the dense loops turn Inf·0 into NaN where the skips leave 0.
 #pragma once
 
 #include <cstddef>
@@ -63,8 +72,12 @@ Matrix operator*(double s, Matrix rhs);
 
 /// Dense matrix product. Row i of the result starts at 0.0 and receives
 /// a(i,k)·b(k,:) for each nonzero a(i,k) in ascending k, so each entry sees
-/// the same operations in the same order as the scalar ikj loop; zero
-/// multipliers are skipped.
+/// the same operations in the same order as the scalar ikj loop. Zero
+/// multipliers are skipped, and so are b's all-zero columns: one row-major
+/// scan finds b's nonzero columns, the kernel runs on those only, and the
+/// results are scattered back in place. For finite operands, bit-identical
+/// to the scalar loop: every nonzero entry is equal; only the sign of an
+/// exact zero may differ.
 Matrix operator*(const Matrix& a, const Matrix& b);
 
 /// Row-vector times matrix: returns x^T A as a vector.
@@ -94,6 +107,22 @@ namespace detail {
 /// (v + (-a)·r rounds exactly like v - a·r).
 void add_scaled_rows(double* dst, const double* coef,
                      const double* const* rows, std::size_t k, std::size_t m);
+
+/// Ascending indices of the columns of `m` that hold a nonzero, found in
+/// one row-major scan.
+std::vector<std::size_t> nonzero_columns(const Matrix& m);
+
+/// Copies entries cols[0], cols[1], … of the `width`-wide row `src` to
+/// dst[0], dst[1], …; a plain block copy when `cols` is every column.
+void gather_columns(double* dst, const double* src,
+                    const std::vector<std::size_t>& cols, std::size_t width);
+
+/// Spreads a packed result over its full width, in place. On entry the
+/// first x.rows() · cols.size() entries of x's storage hold a row-major
+/// x.rows() × cols.size() matrix and the rest are 0.0; on exit x holds
+/// that matrix's column c at column cols[c] and zeros elsewhere. `cols` is
+/// ascending.
+void unpack_columns(Matrix& x, const std::vector<std::size_t>& cols);
 
 }  // namespace detail
 

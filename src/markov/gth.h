@@ -11,6 +11,12 @@
 namespace rlb::markov {
 
 /// Stationary distribution of an irreducible CTMC generator (rows sum to 0).
+/// Folding state k touches only row k's nonzero span left of the diagonal
+/// and the rows from column k's top nonzero down; the column tops are
+/// tracked through fill. For a finite generator the skipped updates would
+/// all add exact zeros, so the result is bit-identical to the dense GTH
+/// loop in tests/linalg_reference.h: every nonzero entry is equal, and only
+/// the sign of an exact zero may differ.
 linalg::Vector stationary_gth(const linalg::Matrix& generator);
 
 /// Stationary distribution of an irreducible DTMC stochastic matrix

@@ -1,6 +1,7 @@
 #include "qbd/solver.h"
 
 #include <cmath>
+#include <utility>
 
 #include "linalg/lu.h"
 #include "util/require.h"
@@ -19,7 +20,7 @@ struct BoundaryResult {
   Vector pi_b, pi0, pi1;
 };
 
-BoundaryResult solve_boundary(const Blocks& b, const Matrix& corner,
+BoundaryResult solve_boundary(const Blocks& b, Matrix corner,
                               const Vector& tail_weights) {
   const std::size_t nb = b.boundary_size();
   const std::size_t m = b.block_size();
@@ -30,10 +31,13 @@ BoundaryResult solve_boundary(const Blocks& b, const Matrix& corner,
   Matrix mt(n, n, 0.0);  // M transposed
   const auto put_block_t = [&](const Matrix& blk, std::size_t row0,
                                std::size_t col0) {
-    // Block sits at (row0, col0) of M; transpose into mt.
-    for (std::size_t i = 0; i < blk.rows(); ++i)
+    // Block sits at (row0, col0) of M; transpose its nonzeros into mt,
+    // reading the block row by row.
+    for (std::size_t i = 0; i < blk.rows(); ++i) {
+      const double* row = blk.data().data() + i * blk.cols();
       for (std::size_t j = 0; j < blk.cols(); ++j)
-        mt(col0 + j, row0 + i) = blk(i, j);
+        if (row[j] != 0.0) mt(col0 + j, row0 + i) = row[j];
+    }
   };
   put_block_t(b.B00, 0, 0);
   put_block_t(b.B01, 0, nb);
@@ -42,6 +46,7 @@ BoundaryResult solve_boundary(const Blocks& b, const Matrix& corner,
   put_block_t(b.A0, nb, nb + m);
   put_block_t(b.A2, nb + m, nb);
   put_block_t(corner, nb + m, nb + m);
+  corner = Matrix();  // the factorization below is the solve's memory peak
 
   // Replace the first equation with the normalization; the dropped balance
   // equation is recovered by the global balance redundancy.
@@ -69,23 +74,26 @@ Solution solve(const Blocks& blocks, double tol) {
                         std::to_string(sol.drift.up) +
                         " >= pi A2 e = " + std::to_string(sol.drift.down));
 
-  const GResult g = logarithmic_reduction(blocks.A0, blocks.A1, blocks.A2,
-                                          tol);
-  RLB_REQUIRE(g.converged, "logarithmic reduction did not converge");
-  sol.logred_iterations = g.iterations;
-  sol.R = rate_matrix_from_g(blocks.A0, blocks.A1, g.G);
+  {
+    const GResult g = logarithmic_reduction(blocks.A0, blocks.A1, blocks.A2,
+                                            tol);
+    RLB_REQUIRE(g.converged, "logarithmic reduction did not converge");
+    sol.logred_iterations = g.iterations;
+    sol.R = rate_matrix_from_g(blocks.A0, blocks.A1, g.G);
+  }
   sol.r_residual = r_residual(blocks.A0, blocks.A1, blocks.A2, sol.R);
 
+  // Only what the rest of the solve reads stays alive into the boundary
+  // factorization, the solve's memory peak.
   const std::size_t m = blocks.block_size();
-  const Matrix I = Matrix::identity(m);
-  Matrix i_minus_r = I;
+  Matrix i_minus_r = Matrix::identity(m);
   i_minus_r -= sol.R;
-  const linalg::Lu lu_imr(i_minus_r);
-  const Vector tail_weights = lu_imr.solve(Vector(m, 1.0));
+  const Vector tail_weights = linalg::Lu(i_minus_r).solve(Vector(m, 1.0));
 
   Matrix corner = blocks.A1;
   corner += sol.R * blocks.A2;
-  const BoundaryResult br = solve_boundary(blocks, corner, tail_weights);
+  const BoundaryResult br =
+      solve_boundary(blocks, std::move(corner), tail_weights);
   sol.pi_boundary = br.pi_b;
   sol.pi0 = br.pi0;
   sol.pi1 = br.pi1;
@@ -117,7 +125,8 @@ Solution solve_scalar(const Blocks& blocks, double rate) {
     corner += scaled_a2;
   }
   const Vector tail_weights(m, 1.0 / (1.0 - rate));
-  const BoundaryResult br = solve_boundary(blocks, corner, tail_weights);
+  const BoundaryResult br =
+      solve_boundary(blocks, std::move(corner), tail_weights);
   sol.pi_boundary = br.pi_b;
   sol.pi0 = br.pi0;
   sol.pi1 = br.pi1;

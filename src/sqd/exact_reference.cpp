@@ -1,6 +1,5 @@
 #include "sqd/exact_reference.h"
 
-#include "markov/ctmc.h"
 #include "markov/gth.h"
 #include "sqd/transitions.h"
 #include "statespace/state.h"
@@ -8,7 +7,7 @@
 
 namespace rlb::sqd {
 
-ExactResult solve_exact_truncated(const Params& p, int total_cap) {
+markov::Ctmc exact_truncated_chain(const Params& p, int total_cap) {
   p.validate();
   RLB_REQUIRE(total_cap >= 1, "cap must be positive");
 
@@ -25,7 +24,11 @@ ExactResult solve_exact_truncated(const Params& p, int total_cap) {
       };
 
   const statespace::State empty(static_cast<std::size_t>(p.N), 0);
-  const markov::Ctmc chain = markov::build_ctmc(empty, fn);
+  return markov::build_ctmc(empty, fn);
+}
+
+ExactResult solve_exact_truncated(const Params& p, int total_cap) {
+  const markov::Ctmc chain = exact_truncated_chain(p, total_cap);
   const linalg::Vector pi = markov::stationary_gth(chain.generator);
 
   ExactResult out;

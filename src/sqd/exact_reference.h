@@ -6,6 +6,7 @@
 
 #include <cstddef>
 
+#include "markov/ctmc.h"
 #include "sqd/params.h"
 
 namespace rlb::sqd {
@@ -18,6 +19,10 @@ struct ExactResult {
   double truncation_mass = 0.0;  ///< stationary P(total jobs = cap)
   std::size_t states = 0;
 };
+
+/// The truncated chain itself: every state reachable from the empty
+/// system, arrivals blocked at `total_cap` jobs.
+markov::Ctmc exact_truncated_chain(const Params& p, int total_cap);
 
 /// Solve the truncated chain exactly (GTH). Cost grows quickly with N and
 /// cap; intended for N <= 4.

@@ -1,5 +1,6 @@
 #include "linalg/lu.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -216,6 +217,118 @@ TEST(LuKernel, EmptyRhs) {
   EXPECT_EQ(x.cols(), 0u);
   EXPECT_THROW(static_cast<void>(lu.solve(Matrix(2, 2))),
                std::invalid_argument);
+}
+
+// -- Structured matrices -------------------------------------------------
+//
+// The zero regions that the factorization skips (rows past a column's
+// reach, trailing entries past the panel pivot rows' last nonzero) and
+// that solve(Matrix) skips (zero right-hand-side columns).
+
+// Factorization and both solves against the scalar reference.
+void expect_factorization_identical(const Matrix& a, rlb::sim::Rng& rng) {
+  const std::size_t n = a.rows();
+  const Lu lu(a);
+  const ref::Lu want(a);
+  for (int trial = 0; trial < 3; ++trial) {
+    Vector b(n);
+    for (auto& v : b) v = rng.next_double() - 0.5;
+    const Vector got = lu.solve(b);
+    const Vector expect = want.solve(b);
+    ref::expect_identical(got, expect);
+  }
+  const Matrix rhs = ref::random_matrix(n, n + 1, 1.0, rng);
+  ref::expect_identical(lu.solve(rhs), want.solve(rhs));
+}
+
+TEST(LuKernel, BandedFactorizationEqualsScalarLoop) {
+  rlb::sim::Rng rng(207);
+  for (const std::size_t n : kKernelSizes) {
+    SCOPED_TRACE(n);
+    // A dominant superdiagonal (no wrap) makes pivoting swap rows inside
+    // the band.
+    Matrix a = ref::banded_matrix(n, 3, 2, rng);
+    for (std::size_t i = 0; i + 1 < n; ++i) a(i, i + 1) += 2.0;
+    if (n == 1) a(0, 0) += 2.0;
+    expect_factorization_identical(a, rng);
+    expect_factorization_identical(ref::banded_matrix(n, 48, 50, rng), rng);
+  }
+}
+
+TEST(LuKernel, BorderedRowThatWinsAPivotEqualsScalarLoop) {
+  rlb::sim::Rng rng(208);
+  for (const std::size_t n : {std::size_t{37}, std::size_t{364}}) {
+    SCOPED_TRACE(n);
+    const Matrix m = ref::bordered_matrix(n, 4, rng);
+    // The all-ones row 0 loses the first pivots, is eliminated against
+    // them, and is swapped in later, filling every row below it.
+    const ref::Lu want(m);
+    const auto& perm = want.perm();
+    const auto pos = static_cast<std::size_t>(
+        std::find(perm.begin(), perm.end(), std::size_t{0}) - perm.begin());
+    EXPECT_GT(pos, 0u);
+    EXPECT_LT(pos, n - 1);
+    expect_factorization_identical(m, rng);
+  }
+}
+
+TEST(LuKernel, RowsStartingRightOfDiagonalEqualScalarLoop) {
+  rlb::sim::Rng rng(209);
+  for (const std::size_t n : kKernelSizes) {
+    SCOPED_TRACE(n);
+    Matrix a = ref::banded_matrix(n, 2, 3, rng);
+    for (std::size_t i = 0; i + 2 < n; i += 3)
+      for (std::size_t j = 0; j <= i; ++j) a(i, j) = 0.0;
+    expect_factorization_identical(a, rng);
+  }
+}
+
+TEST(LuKernel, ZeroColumnSupportsEqualColumnByColumn) {
+  rlb::sim::Rng rng(210);
+  for (const std::size_t n : kKernelSizes) {
+    SCOPED_TRACE(n);
+    const Matrix a = pivoting_matrix(n, 0.13, rng);
+    const Matrix scattered = ref::scattered_columns(n, rng);
+    const Matrix contiguous = ref::trailing_columns(n, rng);
+    expect_solves_identical(a, scattered);
+    expect_solves_identical(a, contiguous);
+  }
+}
+
+TEST(LuKernel, LogredOperandSolvesEqualScalarLoop) {
+  // B1 = (-A1)^{-1} A0 and B2 = (-A1)^{-1} A2 on the (12, 3) upper model,
+  // then the first doubling step's U^{-1} (B1 B1) and U^{-1} (B2 B2).
+  const auto& ops = ref::logred_operands_12_3();
+  const Lu lu(ops.neg_a1);
+  ref::expect_identical(lu.solve(ops.a0), ops.b1);
+  ref::expect_identical(lu.solve(ops.a2), ops.b2);
+  Matrix u = Matrix::identity(ops.b1.rows());
+  u -= ref::matmul(ops.b1, ops.b2);
+  u -= ref::matmul(ops.b2, ops.b1);
+  const Lu lu_u(u);
+  const ref::Lu want_u(u);
+  const Matrix b11 = ref::matmul(ops.b1, ops.b1);
+  const Matrix b22 = ref::matmul(ops.b2, ops.b2);
+  ref::expect_identical(lu_u.solve(b11), want_u.solve(b11));
+  ref::expect_identical(lu_u.solve(b22), want_u.solve(b22));
+}
+
+TEST(LuKernel, AllZeroOneByOneAndEmpty) {
+  rlb::sim::Rng rng(211);
+  const Matrix a = pivoting_matrix(7, 1.0, rng);
+  ref::expect_identical(Lu(a).solve(Matrix(7, 3, 0.0)), Matrix(7, 3, 0.0));
+  Matrix one(1, 1);
+  one(0, 0) = -0.375;
+  expect_factorization_identical(one, rng);
+  ref::expect_identical(Lu(one).solve(Matrix(1, 2, 0.0)), Matrix(1, 2, 0.0));
+  EXPECT_THROW(Lu(Matrix(1, 1, 0.0)), std::runtime_error);
+  // A zero row: singular, found at the column no row reaches.
+  Matrix zero_row = pivoting_matrix(5, 1.0, rng);
+  for (std::size_t j = 0; j < 5; ++j) zero_row(4, j) = 0.0;
+  EXPECT_THROW(Lu{zero_row}, std::runtime_error);
+  const Lu empty(Matrix(0, 0));
+  EXPECT_EQ(empty.solve(Matrix(0, 3)).cols(), 3u);
+  EXPECT_TRUE(empty.solve(Vector{}).empty());
 }
 
 }  // namespace

@@ -205,4 +205,105 @@ TEST(MatrixKernel, EmptyShapes) {
   EXPECT_EQ(e.cols(), 0u);
 }
 
+// -- Structured operands ------------------------------------------------
+//
+// The zero regions of the QBD blocks: bands, a dense border row, rows that
+// start right of the diagonal, and right operands whose nonzero columns are
+// scattered (logred's B1) or contiguous (B2). operator* packs b's nonzero
+// columns, so these exercise the pack/scatter path as well as the kernel.
+
+TEST(MatrixKernel, BandedProductsEqualScalarLoop) {
+  rlb::sim::Rng rng(105);
+  for (const std::size_t n : kKernelSizes) {
+    SCOPED_TRACE(n);
+    const Matrix a = ref::banded_matrix(n, 2, 1, rng);
+    const Matrix b = ref::banded_matrix(n, 0, 3, rng);
+    const Matrix d = ref::random_matrix(n, n, 1.0, rng);
+    ref::expect_identical(a * b, ref::matmul(a, b));
+    ref::expect_identical(b * a, ref::matmul(b, a));
+    ref::expect_identical(d * b, ref::matmul(d, b));
+    ref::expect_identical(a * d, ref::matmul(a, d));
+  }
+}
+
+TEST(MatrixKernel, BorderedProductsEqualScalarLoop) {
+  rlb::sim::Rng rng(106);
+  for (const std::size_t n : kKernelSizes) {
+    SCOPED_TRACE(n);
+    const Matrix m = ref::bordered_matrix(n, 2, rng);
+    const Matrix d = ref::random_matrix(n, n, 1.0, rng);
+    ref::expect_identical(m * d, ref::matmul(m, d));
+    ref::expect_identical(d * m, ref::matmul(d, m));
+    ref::expect_identical(m * m.transpose(), ref::matmul(m, m.transpose()));
+  }
+}
+
+TEST(MatrixKernel, RowsStartingRightOfDiagonalEqualScalarLoop) {
+  rlb::sim::Rng rng(107);
+  for (const std::size_t n : kKernelSizes) {
+    SCOPED_TRACE(n);
+    // Every third row starts right of the diagonal; with upper width 3
+    // the left columns of b are zero below the first rows.
+    Matrix b = ref::banded_matrix(n, 1, 3, rng);
+    for (std::size_t i = 0; i < n; i += 3)
+      for (std::size_t j = 0; j <= i; ++j) b(i, j) = 0.0;
+    const Matrix d = ref::random_matrix(n, n, 0.13, rng);
+    ref::expect_identical(d * b, ref::matmul(d, b));
+    ref::expect_identical(b * d, ref::matmul(b, d));
+    ref::expect_identical(b * b, ref::matmul(b, b));
+  }
+}
+
+TEST(MatrixKernel, ZeroColumnSupportsEqualScalarLoop) {
+  rlb::sim::Rng rng(108);
+  for (const std::size_t n : kKernelSizes) {
+    SCOPED_TRACE(n);
+    const Matrix a = ref::random_matrix(n, n, 1.0, rng);
+    const Matrix scattered = ref::scattered_columns(n, rng);
+    const Matrix contiguous = ref::trailing_columns(n, rng);
+    ref::expect_identical(a * scattered, ref::matmul(a, scattered));
+    ref::expect_identical(a * contiguous, ref::matmul(a, contiguous));
+    ref::expect_identical(scattered * contiguous,
+                          ref::matmul(scattered, contiguous));
+    ref::expect_identical(contiguous * scattered,
+                          ref::matmul(contiguous, scattered));
+  }
+}
+
+TEST(MatrixKernel, LogredOperandProductsEqualScalarLoop) {
+  const auto& ops = ref::logred_operands_12_3();
+  const auto b1_cols = rlb::linalg::detail::nonzero_columns(ops.b1);
+  const auto b2_cols = rlb::linalg::detail::nonzero_columns(ops.b2);
+  ASSERT_EQ(b1_cols.size(), 49u);
+  EXPECT_EQ(b1_cols.front(), 0u);
+  EXPECT_EQ(b1_cols.back(), 301u);
+  ASSERT_EQ(b2_cols.size(), 31u);
+  EXPECT_EQ(b2_cols.front(), 333u);
+  EXPECT_EQ(b2_cols.back(), 363u);
+  const Matrix& b1 = ops.b1;
+  const Matrix& b2 = ops.b2;
+  ref::expect_identical(b1 * b2, ref::matmul(b1, b2));
+  ref::expect_identical(b2 * b1, ref::matmul(b2, b1));
+  ref::expect_identical(b1 * b1, ref::matmul(b1, b1));
+  ref::expect_identical(b2 * b2, ref::matmul(b2, b2));
+  ref::expect_identical(ops.a1 * b2, ref::matmul(ops.a1, b2));
+  const Matrix u = Matrix::identity(b1.rows()) - ref::matmul(b1, b2);
+  ref::expect_identical(u * b1, ref::matmul(u, b1));
+}
+
+TEST(MatrixKernel, AllZeroAndOneByOneOperands) {
+  rlb::sim::Rng rng(109);
+  const Matrix a = ref::random_matrix(5, 7, 1.0, rng);
+  ref::expect_identical(a * Matrix(7, 3, 0.0), Matrix(5, 3, 0.0));
+  ref::expect_identical(Matrix(2, 5, 0.0) * a, Matrix(2, 7, 0.0));
+  const Matrix x = make(1, 1, {2.5});
+  const Matrix y = make(1, 1, {-0.375});
+  ref::expect_identical(x * y, ref::matmul(x, y));
+  ref::expect_identical(x * Matrix(1, 1, 0.0), Matrix(1, 1, 0.0));
+  const Matrix row = make(1, 3, {0.0, 1.5, 0.0});
+  const Matrix col = make(3, 1, {2.0, 0.0, -1.0});
+  ref::expect_identical(col * row, ref::matmul(col, row));
+  ref::expect_identical(row * col, ref::matmul(row, col));
+}
+
 }  // namespace
